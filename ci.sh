@@ -83,6 +83,20 @@ if [ "$quick" = 0 ]; then
     fi
     rm -rf "$abdir"
 
+    # Tier 2: the cheap Fig 10 artifact. The MCDRAM 4096-line panel runs
+    # the step-kernel sort end to end in well under a second; its stdout
+    # must match the committed results file byte for byte.
+    step "tier-2: Fig 10 artifact (knl-sort -kind mcdram -lines 4096 vs results/fig10_mcdram.txt)"
+    sortdir=$(mktemp -d)
+    go build -o "$sortdir/knl-sort" ./cmd/knl-sort
+    "$sortdir/knl-sort" -kind mcdram -lines 4096 > "$sortdir/fig10_mcdram.txt"
+    if ! cmp -s "$sortdir/fig10_mcdram.txt" results/fig10_mcdram.txt; then
+        echo "ci.sh: knl-sort -kind mcdram -lines 4096 diverged from results/fig10_mcdram.txt" >&2
+        diff "$sortdir/fig10_mcdram.txt" results/fig10_mcdram.txt >&2 || true
+        exit 1
+    fi
+    rm -rf "$sortdir"
+
     # Tier 2: memo determinism gate. Two identical -cache invocations into a
     # fresh cache directory must (a) print byte-identical results and (b) run
     # the second entirely from the cache: its memo summary must show zero

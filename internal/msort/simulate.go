@@ -7,6 +7,7 @@ import (
 	"knlcap/internal/exp"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
+	"knlcap/internal/memmode"
 	"knlcap/internal/memo"
 	"knlcap/internal/stats"
 	"knlcap/internal/units"
@@ -44,14 +45,22 @@ func DefaultSimParams(totalLines, threads int, kind knl.MemKind) SimParams {
 }
 
 // Simulate replays the parallel merge sort's memory traffic on the
-// simulated machine and returns the completion time.
+// simulated machine and returns the completion time. Each rank runs as a
+// step kernel (Machine.SpawnKernel) whose program emits the rank's op
+// sequence one op at a time: the local merge levels over its chunk, then
+// its part of the merge tree, synchronized through per-stage flag words.
 func Simulate(cfg knl.Config, p SimParams) units.Nanos {
-	m := machine.New(cfg)
+	return simulate(machine.New(cfg), p)
+}
+
+// simulate runs the sort on a fresh machine m. It is the seam that lets
+// tests run the same rank programs on either kernel engine (m.Steps).
+func simulate(m *machine.Machine, p SimParams) units.Nanos {
 	threads := effectiveThreads(p.TotalLines*16, p.Threads)
 	places := knl.Pin(p.Schedule, m.NumTiles(), threads)
 
 	kind := p.Kind
-	if cfg.Memory != knl.Flat && kind == knl.MCDRAM {
+	if m.Cfg.Memory != knl.Flat && kind == knl.MCDRAM {
 		kind = knl.DDR
 	}
 	ping := m.Alloc.MustAlloc(kind, 0, int64(p.TotalLines)*knl.LineSize)
@@ -59,65 +68,170 @@ func Simulate(cfg knl.Config, p SimParams) units.Nanos {
 	// Per-thread, per-stage completion flags.
 	maxStages := int(math.Log2(float64(threads))) + 2
 	flagBuf := m.Alloc.MustAlloc(knl.DDR, 0, int64(threads*maxStages)*knl.LineSize)
-	flagIdx := func(rank, stage int) int { return rank*maxStages + stage }
 
 	chunk := p.TotalLines / threads
 	if chunk < 1 {
 		chunk = 1
 	}
 	var finish float64
+	ranks := make([]rankProg, len(places))
 	for r, pl := range places {
-		r := r
-		m.Spawn(pl, func(th *machine.Thread) {
-			cur, other := ping, pong
-			lo := r * chunk
+		ranks[r] = rankProg{
+			p: &p, flags: flagBuf, cur: ping, other: pong,
+			rank: r, threads: threads, maxStages: maxStages, chunk: chunk,
+			finish: &finish,
 			// Phase 1: local sort. One pass per merge level over the
 			// thread's chunk: read the current buffer, write the other.
-			levels := int(math.Log2(float64(chunk))) + 1
-			for lvl := 0; lvl < levels; lvl++ {
-				th.Compute(p.LevelOverheadNs.Float())
-				th.ReadStreamRange(cur, lo, chunk, true)
-				th.WriteStreamRange(other, lo, chunk, false)
-				th.Compute(p.BitonicNsPerLine.Scale(float64(chunk)).Float())
-				cur, other = other, cur
-			}
-			th.StoreWord(flagBuf, flagIdx(r, 0), 1)
-
-			// Phase 2: merge tree; active threads halve per stage.
-			width := 1
-			out := chunk * 2
-			for stage := 1; width < threads; stage++ {
-				if r%(2*width) == 0 {
-					partner := r + width
-					th.WaitWordGE(flagBuf, flagIdx(partner, stage-1), 1)
-					th.Compute(p.LevelOverheadNs.Float())
-					myLo := r * chunk
-					span := out
-					if myLo+span > p.TotalLines {
-						span = p.TotalLines - myLo
-					}
-					th.ReadStreamRange(cur, myLo, span, true)
-					th.WriteStreamRange(other, myLo, span, false)
-					th.Compute(p.BitonicNsPerLine.Scale(float64(span)).Float())
-					th.StoreWord(flagBuf, flagIdx(r, stage), 1)
-				} else if r%(2*width) == width {
-					// This thread retires after handing its chunk over.
-					th.StoreWord(flagBuf, flagIdx(r, stage-1), 1)
-					break
-				}
-				cur, other = other, cur
-				width *= 2
-				out *= 2
-			}
-			if at := th.Now(); at > finish {
-				finish = at
-			}
-		})
+			unit:   rkLevel,
+			levels: int(math.Log2(float64(chunk))) + 1,
+			lo:     r * chunk,
+			n:      chunk,
+		}
+		m.SpawnKernel(pl, ranks[r].next)
 	}
 	if _, err := m.Run(); err != nil {
 		panic(err)
 	}
 	return units.Nanos(finish)
+}
+
+// The units of a rank's program, in the order they run.
+const (
+	rkLevel  = iota // one local merge level: overhead, read, write, bitonic
+	rkFlag          // publish the local sort's completion flag
+	rkMerge         // one merge-tree stage: wait for the partner, then a pass and a flag
+	rkRetire        // hand the chunk over to the stage's merger and retire
+	rkDone
+)
+
+// rankProg lazily emits one rank's op sequence. It holds only the loop
+// state of the sort, so a rank costs one small struct, not a slice of ops.
+type rankProg struct {
+	p          *SimParams
+	flags      memmode.Buffer
+	cur, other memmode.Buffer
+	rank       int
+	threads    int
+	maxStages  int
+	chunk      int
+	finish     *float64
+
+	unit   int // rkLevel..rkDone
+	k      int // index of the unit's next op
+	levels int // local merge levels left
+	stage  int // merge-tree stage, from 1; active ranks halve per stage
+	lo, n  int // the line range of the unit's pass
+}
+
+// next is the rank's machine.Program.
+func (s *rankProg) next(now float64, _ uint64) (machine.KernelOp, bool) {
+	for {
+		if op, ok := s.op(); ok {
+			s.k++
+			return op, true
+		}
+		s.k = 0
+		s.advance()
+		if s.unit == rkDone {
+			if now > *s.finish {
+				*s.finish = now
+			}
+			return machine.KernelOp{}, false
+		}
+	}
+}
+
+// op returns op k of the current unit, or false once the unit is spent.
+func (s *rankProg) op() (machine.KernelOp, bool) {
+	switch s.unit {
+	case rkLevel:
+		return s.pass(s.k)
+	case rkFlag:
+		return s.flag(0), s.k == 0
+	case rkMerge:
+		switch {
+		case s.k == 0:
+			partner := s.rank + 1<<(s.stage-1)
+			return machine.KernelOp{Kind: machine.KernelWaitWordGE, B: s.flags,
+				Li: partner*s.maxStages + s.stage - 1, Val: 1}, true
+		case s.k <= 4:
+			return s.pass(s.k - 1)
+		default:
+			return s.flag(s.stage), s.k == 5
+		}
+	case rkRetire:
+		return s.flag(s.stage - 1), s.k == 0
+	}
+	return machine.KernelOp{}, false
+}
+
+// pass returns op k of a merge pass over lines [lo, lo+n): the per-task
+// overhead, a vector read of the current buffer, a write of the other, and
+// the bitonic network's compute.
+func (s *rankProg) pass(k int) (machine.KernelOp, bool) {
+	switch k {
+	case 0:
+		return machine.KernelOp{Kind: machine.KernelCompute, Dur: s.p.LevelOverheadNs.Float()}, true
+	case 1:
+		return machine.KernelOp{Kind: machine.StreamRead, Src: s.cur, SrcFrom: s.lo, N: s.n, Vector: true}, true
+	case 2:
+		return machine.KernelOp{Kind: machine.StreamWrite, Dst: s.other, DstFrom: s.lo, N: s.n}, true
+	case 3:
+		return machine.KernelOp{Kind: machine.KernelCompute,
+			Dur: s.p.BitonicNsPerLine.Scale(float64(s.n)).Float()}, true
+	}
+	return machine.KernelOp{}, false
+}
+
+// flag stores the rank's completion flag for a stage.
+func (s *rankProg) flag(stage int) machine.KernelOp {
+	return machine.KernelOp{Kind: machine.KernelStoreWord, B: s.flags,
+		Li: s.rank*s.maxStages + stage, Val: 1}
+}
+
+// advance moves to the unit after the one just spent.
+func (s *rankProg) advance() {
+	switch s.unit {
+	case rkLevel:
+		s.cur, s.other = s.other, s.cur
+		if s.levels--; s.levels == 0 {
+			s.unit = rkFlag
+		}
+	case rkFlag:
+		// Phase 2: merge tree.
+		s.stage = 1
+		s.mergeStage()
+	case rkMerge:
+		s.cur, s.other = s.other, s.cur
+		s.stage++
+		s.mergeStage()
+	default:
+		s.unit = rkDone
+	}
+}
+
+// mergeStage picks the rank's role from the current stage on: merge its
+// partner's chunk into its own, or hand its chunk over and retire.
+func (s *rankProg) mergeStage() {
+	for {
+		width := 1 << (s.stage - 1)
+		if width >= s.threads {
+			s.unit = rkDone
+			return
+		}
+		switch s.rank % (2 * width) {
+		case 0:
+			s.unit = rkMerge
+			s.lo = s.rank * s.chunk
+			s.n = min(2*width*s.chunk, s.p.TotalLines-s.lo)
+			return
+		case width:
+			s.unit = rkRetire
+			return
+		}
+		s.cur, s.other = s.other, s.cur
+		s.stage++
+	}
 }
 
 // FitOverhead fits the paper's overhead model: simulate 1 KB sorts across

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 )
 
@@ -19,14 +20,15 @@ type Table struct {
 	Rows    [][]string
 }
 
-// AddRow appends a row (cells are stringified with %v).
+// AddRow appends a row. Cells of any float64 kind — float64 itself and
+// named unit types such as units.Nanos — render through FormatFloat; all
+// others are stringified with %v.
 func (t *Table) AddRow(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = FormatFloat(v)
-		default:
+		if v := reflect.ValueOf(c); v.Kind() == reflect.Float64 {
+			row[i] = FormatFloat(v.Float())
+		} else {
 			row[i] = fmt.Sprintf("%v", c)
 		}
 	}

@@ -3,6 +3,8 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"knlcap/internal/units"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -26,6 +28,20 @@ func TestTableRendering(t *testing.T) {
 	// Alignment: all data rows at least as wide as the header row.
 	if len(lines[3]) < len(strings.TrimRight(lines[1], " ")) {
 		t.Error("rows narrower than headers")
+	}
+}
+
+// TestAddRowNamedFloat pins the formatting of named float types: a
+// units.Nanos cell must render through FormatFloat like a float64, not at
+// full precision through %v.
+func TestAddRowNamedFloat(t *testing.T) {
+	tab := &Table{Headers: []string{"Threads", "Measured", "Mem BW", "GB/s"}}
+	tab.AddRow(1, units.Nanos(1.2019607315343076e+06), units.Nanos(815.7049), units.GBps(7.54321))
+	want := []string{"1", "1201961", "815.7", "7.54"}
+	for i, cell := range tab.Rows[0] {
+		if cell != want[i] {
+			t.Errorf("cell %d = %q, want %q", i, cell, want[i])
+		}
 	}
 }
 
