@@ -58,13 +58,13 @@ if [ "$quick" = 0 ]; then
     go test -bench='LoadLineHotPath|PrimeFlush' -benchtime=1x -run '^$' ./internal/machine
 
     # Tier 2: the zero-allocation guarantee the hotalloc analyzer enforces
-    # statically, re-proved dynamically: the steady-state event, step-handoff
-    # and line paths must report 0 allocs/op under -benchmem.
+    # statically, re-proved dynamically: the steady-state event, step-handoff,
+    # line and stream-flush paths must report 0 allocs/op under -benchmem.
     step "tier-2: zero-alloc gate (-benchmem, allocs/op must be 0)"
     go test -bench='BenchmarkEngineEventThroughput|BenchmarkStepHandoff' -benchtime=5000x -benchmem -run '^$' ./internal/sim |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
-    go test -bench='BenchmarkLoadLineHotPath|BenchmarkStoreLineHotPath' -benchtime=5000x -benchmem -run '^$' ./internal/machine |
+    go test -bench='BenchmarkLoadLineHotPath|BenchmarkStoreLineHotPath|BenchmarkStreamFlush' -benchtime=5000x -benchmem -run '^$' ./internal/machine |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
 

@@ -8,11 +8,15 @@
 //	knl-coll -fig 6                # barrier (Figure 6)
 //	knl-coll -fig 7 -sched scatter # broadcast, scatter pinning
 //	knl-coll -speedups             # max speedups across all three ops
+//	knl-coll -fig 6 -cpuprofile cpu.out -memprofile mem.out
+//
+// Exit codes: 0 ok, 2 usage or setup error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -21,80 +25,69 @@ import (
 	"knlcap/internal/core"
 	"knlcap/internal/knl"
 	"knlcap/internal/memo"
+	"knlcap/internal/prof"
 	"knlcap/internal/report"
 )
 
-// openMemo opens the on-disk result cache when enabled; a nil cache
-// disables memoization throughout the measurement layers.
-func openMemo(prog string, enabled bool, dir string) *memo.Cache {
-	if !enabled {
-		return nil
-	}
-	c, err := memo.New(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, prog+":", err)
-		os.Exit(2)
-	}
-	return c
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// memoReport prints the cache traffic counters to stderr.
-func memoReport(c *memo.Cache) {
-	if c != nil {
-		fmt.Fprintln(os.Stderr, "memo:", c.Stats())
-	}
+// fprintf writes output, deliberately dropping write errors: a run whose
+// own output pipe fails has nothing useful left to report.
+func fprintf(w io.Writer, format string, args ...any) {
+	_, _ = fmt.Fprintf(w, format, args...)
 }
 
-func schedOf(s string) knl.Schedule {
+// usageError reports a bad flag value with the flag listing and returns
+// the usage exit code.
+func usageError(fs *flag.FlagSet, format string, args ...any) int {
+	fprintf(fs.Output(), "knl-coll: "+format+"\n", args...)
+	fs.Usage()
+	return 2
+}
+
+func schedOf(s string) (knl.Schedule, bool) {
 	switch s {
 	case "scatter":
-		return knl.Scatter
+		return knl.Scatter, true
 	case "fill-tiles", "filltiles":
-		return knl.FillTiles
+		return knl.FillTiles, true
 	case "compact":
-		return knl.Compact
+		return knl.Compact, true
 	default:
-		fmt.Fprintf(os.Stderr, "knl-coll: unknown schedule %q\n", s)
-		os.Exit(2)
-		return 0
+		return 0, false
 	}
 }
 
-func main() {
-	fig := flag.Int("fig", 6, "figure to regenerate: 6 (barrier), 7 (broadcast), 8 (reduce)")
-	opName := flag.String("op", "", "measure an extension collective instead: allreduce | allgather | scan")
-	sched := flag.String("sched", "scatter", "pinning: scatter | fill-tiles | compact")
-	speedups := flag.Bool("speedups", false, "print max speedups for all three collectives")
-	quick := flag.Bool("quick", false, "reduced iterations")
-	csv := flag.Bool("csv", false, "emit CSV")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
+// run is the command body: it parses args, writes the figure to stdout
+// and progress to stderr, and returns the exit code (0 ok, 2 usage or
+// setup error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("knl-coll", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 6, "figure to regenerate: 6 (barrier), 7 (broadcast), 8 (reduce)")
+	opName := fs.String("op", "", "measure an extension collective instead: allreduce | allgather | scan")
+	schedName := fs.String("sched", "scatter", "pinning: scatter | fill-tiles | compact")
+	speedups := fs.Bool("speedups", false, "print max speedups for all three collectives")
+	quick := fs.Bool("quick", false, "reduced iterations")
+	csv := fs.Bool("csv", false, "emit CSV")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker-pool size for independent measurement points (1 = serial; results are identical at every setting)")
-	useCache := flag.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
-	cacheDir := flag.String("cache-dir", "results/.memocache", "directory of the result cache")
-	converge := flag.Int("converge", 0,
+	useCache := fs.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
+	cacheDir := fs.String("cache-dir", "results/.memocache", "directory of the result cache")
+	converge := fs.Int("converge", 0,
 		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
-	nojitter := flag.Bool("nojitter", false, "disable the simulated timing jitter")
-	nosteps := flag.Bool("nosteps", false, "run protocol walks as goroutine processes instead of stackless step machines (debugging; bit-identical results)")
-	flag.Parse()
-
-	cfg := knl.DefaultConfig() // SNC4-flat, as in the paper's figures
-	model := core.Default()
-	o := bench.DefaultOptions()
-	if *quick {
-		o = o.Quick()
+	nojitter := fs.Bool("nojitter", false, "disable the simulated timing jitter")
+	nosteps := fs.Bool("nosteps", false, "run protocol walks as goroutine processes instead of stackless step machines (debugging; bit-identical results)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	o.WindowNs = 1e6
-	o.Parallel = *parallel
-	o.ConvergeAfter = *converge
-	o.NoJitter = *nojitter
-	o.NoSteps = *nosteps
-	mc := openMemo("knl-coll", *useCache, *cacheDir)
-	o.Memo = mc
-	defer memoReport(mc)
-
-	if *speedups {
-		printSpeedups(cfg, model, o, schedOf(*sched))
-		return
+	sched, ok := schedOf(*schedName)
+	if !ok {
+		return usageError(fs, "unknown schedule %q", *schedName)
 	}
 	var op coll.Op
 	var figLabel string
@@ -108,8 +101,7 @@ func main() {
 		case 8:
 			op = coll.Reduce
 		default:
-			fmt.Fprintln(os.Stderr, "knl-coll: -fig must be 6, 7 or 8")
-			os.Exit(2)
+			return usageError(fs, "-fig must be 6, 7 or 8")
 		}
 		figLabel = fmt.Sprintf("Figure %d", *fig)
 	case "allreduce":
@@ -119,13 +111,45 @@ func main() {
 	case "scan":
 		op, figLabel = coll.Scan, "Extension"
 	default:
-		fmt.Fprintln(os.Stderr, "knl-coll: unknown -op", *opName)
-		os.Exit(2)
+		return usageError(fs, "unknown -op %s", *opName)
 	}
-	pts := coll.MeasureFigure(cfg, model, o, op, schedOf(*sched), nil)
+
+	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fprintf(stderr, "knl-coll: %v\n", err)
+		return 2
+	}
+	defer stopProf()
+
+	cfg := knl.DefaultConfig() // SNC4-flat, as in the paper's figures
+	model := core.Default()
+	o := bench.DefaultOptions()
+	if *quick {
+		o = o.Quick()
+	}
+	o.WindowNs = 1e6
+	o.Parallel = *parallel
+	o.ConvergeAfter = *converge
+	o.NoJitter = *nojitter
+	o.NoSteps = *nosteps
+	if *useCache {
+		mc, err := memo.New(*cacheDir)
+		if err != nil {
+			fprintf(stderr, "knl-coll: %v\n", err)
+			return 2
+		}
+		o.Memo = mc
+		defer func() { fprintf(stderr, "memo: %v\n", mc.Stats()) }()
+	}
+
+	if *speedups {
+		printSpeedups(stdout, stderr, cfg, model, o, sched)
+		return 0
+	}
+	pts := coll.MeasureFigure(cfg, model, o, op, sched, nil)
 	t := &report.Table{
 		Title: fmt.Sprintf("%s: %v latency [ns], SNC4-flat (MCDRAM), %s schedule",
-			figLabel, op, *sched),
+			figLabel, op, *schedName),
 		Headers: []string{"Threads",
 			"tuned p25", "tuned med", "tuned p75",
 			"model best", "model worst",
@@ -153,19 +177,20 @@ func main() {
 		series[2].Y = append(series[2].Y, p.MPI.Summary.Med)
 	}
 	if *csv {
-		t.CSV(os.Stdout)
-		return
+		t.CSV(stdout)
+		return 0
 	}
-	t.Write(os.Stdout)
-	fmt.Println()
+	t.Write(stdout)
+	fprintf(stdout, "\n")
 	pl := &report.Plot{
 		Title: fmt.Sprintf("%s (%v)", figLabel, op), XLabel: "threads",
 		YLabel: "ns", LogY: true, Series: series[:],
 	}
-	pl.Write(os.Stdout)
+	pl.Write(stdout)
+	return 0
 }
 
-func printSpeedups(cfg knl.Config, model *core.Model, o bench.Options, sched knl.Schedule) {
+func printSpeedups(stdout, stderr io.Writer, cfg knl.Config, model *core.Model, o bench.Options, sched knl.Schedule) {
 	t := &report.Table{
 		Title:   "Headline speedups of the model-tuned collectives (max across thread counts)",
 		Headers: []string{"Collective", "vs OpenMP-style", "paper", "vs MPI-style", "paper"},
@@ -176,11 +201,11 @@ func printSpeedups(cfg knl.Config, model *core.Model, o bench.Options, sched knl
 		coll.Reduce:  {"5x", "14x"},
 	}
 	for _, op := range []coll.Op{coll.Barrier, coll.Bcast, coll.Reduce} {
-		fmt.Fprintf(os.Stderr, "measuring %v...\n", op)
+		fprintf(stderr, "measuring %v...\n", op)
 		pts := coll.MeasureFigure(cfg, model, o, op, sched, []int{8, 16, 32, 64})
 		omp, mpi := coll.MaxSpeedups(pts)
 		t.AddRow(op.String(), fmt.Sprintf("%.1fx", omp), paper[op][0],
 			fmt.Sprintf("%.1fx", mpi), paper[op][1])
 	}
-	t.Write(os.Stdout)
+	t.Write(stdout)
 }

@@ -10,11 +10,15 @@
 //	knl-explain -from 0 -state I -kind mcdram       # memory access
 //	knl-explain -from 0 -owner 1 -state E           # same-tile
 //	knl-explain -cluster A2A -memmode cache -state I
+//
+// Exit codes: 0 ok, 1 the simulation failed, 2 usage error (an unknown
+// flag value or a core outside 0-63 is a usage error).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"knlcap/internal/cache"
@@ -25,24 +29,49 @@ import (
 )
 
 func main() {
-	from := flag.Int("from", 0, "requesting core (0-63)")
-	owner := flag.Int("owner", 20, "core whose cache holds the line (ignored for state I)")
-	state := flag.String("state", "M", "line state at the owner: M, E, S, F or I (uncached)")
-	kind := flag.String("kind", "dram", "memory backing the line: dram | mcdram")
-	clusterMode := flag.String("cluster", "SNC4", "cluster mode")
-	memMode := flag.String("memmode", "flat", "memory mode: flat | cache | hybrid")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// fprintf writes output, deliberately dropping write errors: a run whose
+// own output pipe fails has nothing useful left to report.
+func fprintf(w io.Writer, format string, args ...any) {
+	_, _ = fmt.Fprintf(w, format, args...)
+}
+
+// usageError reports a bad flag value with the flag listing and returns
+// the usage exit code.
+func usageError(fs *flag.FlagSet, format string, args ...any) int {
+	fprintf(fs.Output(), "knl-explain: "+format+"\n", args...)
+	fs.Usage()
+	return 2
+}
+
+// run is the command body: it parses args, writes the decomposition to
+// stdout and errors to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("knl-explain", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	from := fs.Int("from", 0, "requesting core (0-63)")
+	owner := fs.Int("owner", 20, "core whose cache holds the line (0-63; ignored for state I)")
+	state := fs.String("state", "M", "line state at the owner: M, E, S, F or I (uncached)")
+	kind := fs.String("kind", "dram", "memory backing the line: dram | mcdram")
+	clusterMode := fs.String("cluster", "SNC4", "cluster mode")
+	memMode := fs.String("memmode", "flat", "memory mode: flat | cache | hybrid")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 0 {
+		return usageError(fs, "unexpected argument %q", fs.Arg(0))
+	}
 
 	cfg := knl.DefaultConfig()
 	cm, err := knl.ParseClusterMode(*clusterMode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-explain:", err)
-		os.Exit(2)
+		return usageError(fs, "%v", err)
 	}
 	mm, err := knl.ParseMemoryMode(*memMode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-explain:", err)
-		os.Exit(2)
+		return usageError(fs, "%v", err)
 	}
 	cfg = cfg.WithModes(cm, mm)
 	var st cache.State
@@ -58,16 +87,27 @@ func main() {
 	case "I":
 		st = cache.Invalid
 	default:
-		fmt.Fprintln(os.Stderr, "knl-explain: -state must be M, E, S, F or I")
-		os.Exit(2)
+		return usageError(fs, "-state %q must be M, E, S, F or I", *state)
 	}
-	mk := knl.DDR
-	if *kind == "mcdram" {
+	var mk knl.MemKind
+	switch *kind {
+	case "dram":
+		mk = knl.DDR
+	case "mcdram":
 		mk = knl.MCDRAM
+	default:
+		return usageError(fs, "unknown -kind %q (want dram or mcdram)", *kind)
 	}
 	if mk == knl.MCDRAM && cfg.Memory == knl.CacheMode {
-		fmt.Fprintln(os.Stderr, "knl-explain: no flat MCDRAM in cache mode")
-		os.Exit(2)
+		return usageError(fs, "no flat MCDRAM in cache mode")
+	}
+	// Cores are numbered over the active tiles, so a core in range also
+	// names a tile in range (tile = core / 2).
+	if *from < 0 || *from >= knl.NumCores {
+		return usageError(fs, "-from %d is not a core (want 0-%d)", *from, knl.NumCores-1)
+	}
+	if *owner < 0 || *owner >= knl.NumCores {
+		return usageError(fs, "-owner %d is not a core (want 0-%d)", *owner, knl.NumCores-1)
 	}
 
 	p := machine.DefaultParams()
@@ -86,23 +126,23 @@ func main() {
 		latency = th.Now() - start
 	})
 	if _, err := m.Run(); err != nil {
-		fmt.Fprintln(os.Stderr, "knl-explain:", err)
-		os.Exit(1)
+		fprintf(stderr, "knl-explain: %v\n", err)
+		return 1
 	}
 
 	place := m.Mapper.Place(mk, 0, buf.Line(0))
-	fmt.Printf("configuration: %s | line backed by %v channel %d, home CHA on tile %d\n",
+	fprintf(stdout, "configuration: %s | line backed by %v channel %d, home CHA on tile %d\n",
 		cfg.Name(), place.Kind, place.Channel, place.HomeTile)
-	fmt.Printf("request: core %d (tile %d) loads a line", *from, reqTile)
+	fprintf(stdout, "request: core %d (tile %d) loads a line", *from, reqTile)
 	if st != cache.Invalid {
-		fmt.Printf(" held %s by core %d (tile %d)", st, *owner, *owner/knl.CoresPerTile)
+		fprintf(stdout, " held %s by core %d (tile %d)", st, *owner, *owner/knl.CoresPerTile)
 	} else {
-		fmt.Printf(" cached nowhere")
+		fprintf(stdout, " cached nowhere")
 	}
-	fmt.Printf("\n\nmeasured on the simulator: %.1f ns\n\n", latency)
+	fprintf(stdout, "\n\nmeasured on the simulator: %.1f ns\n\n", latency)
 
-	fmt.Println("protocol walk (timing parameters):")
-	step := func(name string, v float64) { fmt.Printf("  %-42s %6.1f ns\n", name, v) }
+	fprintf(stdout, "protocol walk (timing parameters):\n")
+	step := func(name string, v float64) { fprintf(stdout, "  %-42s %6.1f ns\n", name, v) }
 	ownerTile := *owner / knl.CoresPerTile
 	switch {
 	case st != cache.Invalid && ownerTile == reqTile && *owner == *from:
@@ -147,19 +187,20 @@ func main() {
 	}
 
 	model := core.Default()
-	fmt.Println("\ncapability-model abstraction:")
+	fprintf(stdout, "\ncapability-model abstraction:\n")
 	switch {
 	case st != cache.Invalid && *owner == *from:
-		fmt.Printf("  R_L (local cache read)      = %.1f ns\n", model.RL)
+		fprintf(stdout, "  R_L (local cache read)      = %.1f ns\n", model.RL)
 	case st != cache.Invalid && ownerTile == reqTile:
-		fmt.Printf("  R_tile(%s)                   = %.1f / %.1f / %.1f ns (M/E/SF)\n",
+		fprintf(stdout, "  R_tile(%s)                   = %.1f / %.1f / %.1f ns (M/E/SF)\n",
 			st, model.RTileM, model.RTileE, model.RTileSF)
 	case st != cache.Invalid:
-		fmt.Printf("  R_R (remote cache read)     = %.1f ns (band %.0f-%.0f)\n",
+		fprintf(stdout, "  R_R (remote cache read)     = %.1f ns (band %.0f-%.0f)\n",
 			model.RR, model.RRMin, model.RRMax)
 	default:
-		fmt.Printf("  R_I (memory read, %v)    = %.1f ns\n", mk, model.MemLatency(mk))
+		fprintf(stdout, "  R_I (memory read, %v)    = %.1f ns\n", mk, model.MemLatency(mk))
 	}
+	return 0
 }
 
 // ctrlLeg is the mesh latency between a tile and the controller serving

@@ -10,10 +10,11 @@ import (
 // observable simulation state: the clock and event counter, the RNG
 // state, the coherence directory, the word store, the watch slots,
 // every L1/L2 tag array, the serializing-resource counters, the memory
-// channel traffic, and the memory-side cache. The dense line tables are
+// channel traffic, and the memory-side cache. The paged line tables are
 // walked in ascending line order (DDR addresses sort below MCDRAM ones),
 // reproducing exactly the sorted-key fold of the former map design — the
-// digest is a function of the state alone.
+// digest is a function of the state alone. Absent pages hold no live
+// state, so skipping them leaves the fold unchanged.
 //
 // Two runs of the same workload on the same configuration and seed must
 // produce identical digests — the dynamic counterpart of the static
@@ -35,32 +36,27 @@ func (m *Machine) StateDigest() uint64 {
 	put(uint64(m.lines[0].dirLive + m.lines[1].dirLive))
 	for k := range m.lines {
 		t := &m.lines[k]
-		for i := range t.slots {
-			s := &t.slots[i]
-			if s.owners != 0 && s.gen == t.bufGen[t.lineBuf[i]] {
-				put(uint64(t.base) + uint64(i))
+		t.eachSlot(func(l uint64, s *lineSlot, id int32) {
+			if s.owners != 0 && s.gen == t.bufGen[id] {
+				put(l)
 				put(s.owners)
 			}
-		}
+		})
 	}
 	put(uint64(m.lines[0].words + m.lines[1].words))
 	for k := range m.lines {
-		t := &m.lines[k]
-		for i := range t.slots {
-			s := &t.slots[i]
+		m.lines[k].eachSlot(func(l uint64, s *lineSlot, _ int32) {
 			if s.flags&slotWord != 0 {
-				put(uint64(t.base) + uint64(i))
+				put(l)
 				put(s.word)
 			}
-		}
+		})
 	}
 	put(uint64(m.lines[0].watched + m.lines[1].watched))
 	for k := range m.lines {
-		t := &m.lines[k]
-		for i := range t.slots {
-			s := &t.slots[i]
+		m.lines[k].eachSlot(func(l uint64, s *lineSlot, _ int32) {
 			if s.flags&slotWatched != 0 {
-				put(uint64(t.base) + uint64(i))
+				put(l)
 				put(s.watchVer)
 				waiting := 0
 				if s.sig != nil {
@@ -68,7 +64,7 @@ func (m *Machine) StateDigest() uint64 {
 				}
 				put(uint64(waiting))
 			}
-		}
+		})
 	}
 
 	for _, ts := range m.tiles {

@@ -10,9 +10,9 @@ import (
 // BenchmarkLoadLineHotPath measures the simulator cost of the per-line
 // protocol walk itself: one thread striding over a 2 MB DDR buffer, so
 // nearly every access misses L2 and takes the full directory-to-memory
-// path through the dense line tables. bench_baseline.sh records its ns/op
-// as ns_per_line_access; allocs/op must stay 0 (amortized — table growth
-// is one-time setup).
+// path through the paged line tables. bench_baseline.sh records its ns/op
+// as ns_per_line_access; allocs/op must stay 0 (amortized — building a
+// page on first touch is one-time setup).
 func BenchmarkLoadLineHotPath(b *testing.B) {
 	m := noJitterF(knl.DefaultConfig())
 	const lines = 32768 // 2 MB: far beyond one tile's L2 share
@@ -61,5 +61,37 @@ func BenchmarkPrimeFlush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Prime(buf, 0, cache.Exclusive)
 		m.FlushBuffer(buf)
+	}
+}
+
+// BenchmarkStreamFlush measures one multi-channel NT copy chunk of a stream
+// kernel: MLP-deep reads from a DDR buffer larger than the L2 and NT writes
+// to a second one, whose lines hash over several channels, so every chunk
+// ends in a joined flush with one helper per channel. A warm-up pass over
+// both buffers first builds their line-table pages, the recycled step
+// frames and the kernel's flush join; the timed chunks then run in steady
+// state, and ci.sh tier-2 gates them at 0 allocs/op.
+func BenchmarkStreamFlush(b *testing.B) {
+	m := noJitterF(knl.DefaultConfig())
+	const lines = 32768 // 2 MB each: the source streams from memory
+	src := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
+	dst := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
+	chunk := m.P.MLPMem
+	warm := lines / chunk
+	b.ReportAllocs()
+	i := 0
+	m.SpawnStreamTask(place(0), func(float64) (StreamOp, bool) {
+		if i == warm {
+			b.ResetTimer()
+		}
+		if i == warm+b.N {
+			return StreamOp{}, false
+		}
+		from := i * chunk % lines
+		i++
+		return StreamOp{Kind: StreamCopy, Dst: dst, Src: src, DstFrom: from, SrcFrom: from, N: chunk, NT: true}, true
+	})
+	if _, err := m.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

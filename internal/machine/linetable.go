@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"knlcap/internal/cache"
 	"knlcap/internal/knl"
 	"knlcap/internal/memmode"
@@ -9,11 +11,20 @@ import (
 
 // The machine keeps all per-line protocol metadata — the directory owner
 // bitset, the 64-bit payload word, and the poller watch slot — in two
-// dense tables indexed by line-address offset, one per memory kind.
+// paged tables indexed by line-address offset, one per memory kind.
 // memmode.Allocator is a bump allocator, so each kind's allocations tile a
 // contiguous address range and `line - base` is a dense index; the former
 // map[cache.Line] tables hashed on every off-tile access, which dominated
 // the sweep profile once the event engine went allocation-free (PR 2).
+//
+// The index space is split into fixed pages of pageLines lines, built on
+// the first touch of any of their lines and recycled through a free list
+// when the machine resets. Host cost therefore scales with the lines a
+// workload touches, not with the memory it allocates: the cache-mode
+// bandwidth sweeps size their buffer pools to twice the side cache and
+// touch a few buffers of them per point. An absent page holds no live
+// state — every slot of a fresh page is zero — so walks over the table
+// (the digest, the epoch flush) skip it without changing their result.
 //
 // Flushes are epoch-based: every registered allocation carries a
 // generation counter, a slot's directory content is live only while the
@@ -25,10 +36,11 @@ import (
 // entries).
 //
 // CAUTION for maintainers: a *lineSlot must never be held across a
-// blocking call (p.Wait, Signal.Wait, Resource.Acquire/Use) — the table
-// may grow while the process sleeps, reallocating the slots slice and
-// leaving the pointer dangling. Re-resolve through Machine.lineState
-// after every potential block (see Machine.waitWatch).
+// blocking call (p.Wait, Signal.Wait, Resource.Acquire/Use). Pages do not
+// move while they exist, but the slot's meaning is only fixed at the
+// instant it is resolved — a buffer registered while the process sleeps
+// re-labels the line, and a Reset recycles the page. Re-resolve through
+// Machine.lineState after every potential block (see Machine.waitWatch).
 
 // lineSlot is the per-line record. The sig pointer is non-nil only while
 // pollers are blocked on the line (see Machine.waitWatch): signals are
@@ -48,18 +60,34 @@ const (
 	slotWatched                   // the line has (ever had) pollers
 )
 
-// lineTable is the dense per-line metadata table of one memory kind.
+// Page geometry: pageLines consecutive lines share one linePage.
+const (
+	pageShift = 9
+	pageLines = 1 << pageShift
+	pageMask  = pageLines - 1
+)
+
+// linePage is the metadata of pageLines consecutive lines. buf maps each
+// line to its registered-buffer id; id 0 is the anonymous bucket for lines
+// outside any allocation (its generation never advances, so anonymous
+// entries are only killed per line).
+type linePage struct {
+	slots [pageLines]lineSlot
+	buf   [pageLines]int32
+}
+
+// lineTable is the paged per-line metadata table of one memory kind.
 type lineTable struct {
 	//knl:nostate immutable wiring: which memory kind the table serves
 	kind knl.MemKind
 	//knl:nostate immutable base line of the kind's address range
-	base  cache.Line
-	slots []lineSlot
-	// lineBuf maps a slot index to its registered-buffer id; id 0 is the
-	// anonymous bucket for lines outside any allocation (its generation
-	// never advances, so anonymous entries are only killed per line).
-	lineBuf []int32
-	bufGen  []uint32 // buffer id -> current directory generation
+	base cache.Line
+	// pages maps a page index (slot index >> pageShift) to its page; nil
+	// for pages no line of which has been touched since the last reset.
+	pages []*linePage
+	//knl:nostate recycled pages, deliberately invisible to any digest (re-zeroed when rebuilt)
+	free   []*linePage
+	bufGen []uint32 // buffer id -> current directory generation
 	//knl:nostate derived live-count bookkeeping over the folded owner/generation slots
 	bufLive []int32 // buffer id -> slots with a live directory entry
 	//knl:nostate registered-allocation mirror, resynced from the allocator
@@ -78,12 +106,17 @@ func (t *lineTable) init(kind knl.MemKind, base cache.Line) {
 	t.reset()
 }
 
-// reset forgets all line state while keeping slice capacity. Recycled
-// slot memory is re-zeroed lazily by extend, so a pooled machine pays
-// only for the region its next workload actually touches.
+// reset forgets all line state: every built page goes back to the free
+// list, so a pooled machine pays only for the pages its next workload
+// actually touches, and rebuilds them without allocating.
 func (t *lineTable) reset() {
-	t.slots = t.slots[:0]
-	t.lineBuf = t.lineBuf[:0]
+	for _, pg := range t.pages {
+		if pg != nil {
+			t.free = append(t.free, pg)
+		}
+	}
+	clear(t.pages)
+	t.pages = t.pages[:0]
 	t.bufGen = append(t.bufGen[:0], 0) // id 0: the anonymous bucket
 	t.bufLive = append(t.bufLive[:0], 0)
 	t.bufs = t.bufs[:0]
@@ -91,73 +124,124 @@ func (t *lineTable) reset() {
 	t.dirLive, t.words, t.watched = 0, 0, 0
 }
 
-// grow registers allocator buffers made since the last sync and extends
-// the table to cover slot index idx (lines beyond every allocation fall
-// into the anonymous bucket).
-func (t *lineTable) grow(a *memmode.Allocator, idx int) {
+// bufRange returns the slot-index range [lo, hi) of registered buffer id.
+func (t *lineTable) bufRange(id int) (lo, hi int) {
+	b := t.bufs[id-1]
+	lo = int(uint64(cache.LineOf(b.Base)) - uint64(t.base))
+	return lo, lo + b.NumLines()
+}
+
+// grow registers allocator buffers made since the last sync. Only pages
+// that already exist are walked: a line touched before its buffer was
+// registered sits in the anonymous bucket, and any live entry of it moves
+// to the new id so the per-buffer live counts stay exact. Pages built
+// later take their ids from the registry directly.
+func (t *lineTable) grow(a *memmode.Allocator) {
 	for _, b := range a.Buffers(t.kind)[t.synced:] {
 		id := int32(len(t.bufGen))
 		t.bufGen = append(t.bufGen, 0)
 		t.bufLive = append(t.bufLive, 0)
 		t.bufs = append(t.bufs, b)
-		lo := int(uint64(cache.LineOf(b.Base)) - uint64(t.base))
-		hi := lo + b.NumLines()
-		t.extend(hi)
-		for i := lo; i < hi; i++ {
-			// A line touched before its buffer was registered sits in the
-			// anonymous bucket; transfer any live entry to the new id so
-			// the per-buffer live counts stay exact.
-			if s := &t.slots[i]; s.owners != 0 && t.lineBuf[i] == 0 {
-				t.bufLive[0]--
-				t.bufLive[id]++
-				s.gen = t.bufGen[id]
-			}
-			t.lineBuf[i] = id
-		}
 		t.synced++
-	}
-	t.extend(idx + 1)
-}
-
-// extend grows the table to cover n slots; recycled capacity (left dirty
-// by reset) is re-zeroed on the way.
-func (t *lineTable) extend(n int) {
-	if n <= len(t.slots) {
-		return
-	}
-	old := len(t.slots)
-	if n > cap(t.slots) {
-		c := 2 * cap(t.slots)
-		if c < n {
-			c = n
+		lo, hi := t.bufRange(int(id))
+		for pi := lo >> pageShift; pi <= (hi-1)>>pageShift && pi < len(t.pages); pi++ {
+			pg := t.pages[pi]
+			if pg == nil {
+				continue
+			}
+			first := pi << pageShift
+			for i := max(lo, first); i < min(hi, first+pageLines); i++ {
+				j := i & pageMask
+				if pg.slots[j].owners != 0 && pg.buf[j] == 0 {
+					t.bufLive[0]--
+					t.bufLive[id]++
+					pg.slots[j].gen = t.bufGen[id]
+				}
+				pg.buf[j] = id
+			}
 		}
-		//lint:ignore hotalloc doubling growth is amortized O(1) per line; pooled machines reuse capacity and never re-enter this branch
-		slots := make([]lineSlot, n, c)
-		copy(slots, t.slots)
-		t.slots = slots
-		//lint:ignore hotalloc same amortized doubling as the slots table above
-		lineBuf := make([]int32, n, c)
-		copy(lineBuf, t.lineBuf)
-		t.lineBuf = lineBuf
-		return
 	}
-	t.slots = t.slots[:n]
-	clear(t.slots[old:])
-	t.lineBuf = t.lineBuf[:n]
-	clear(t.lineBuf[old:])
 }
 
-// lineState returns the table and slot for l, growing the table when the
-// line lies beyond the region synced from the allocator. The returned
-// pointer is valid only until the next potential table growth — never
-// hold it across a blocking call.
-func (m *Machine) lineState(l cache.Line) (*lineTable, *lineSlot, int) {
+// page returns the page holding slot index i, syncing the buffer registry
+// and building the page (from the free list when possible) on first touch.
+func (t *lineTable) page(a *memmode.Allocator, i int) *linePage {
+	pi := i >> pageShift
+	if pi < len(t.pages) {
+		if pg := t.pages[pi]; pg != nil {
+			return pg
+		}
+	} else {
+		n := len(t.pages)
+		//lint:ignore hotalloc amortized growth of the page directory (one pointer per page); pooled machines reuse its capacity
+		t.pages = slices.Grow(t.pages, pi+1-n)[:pi+1]
+		clear(t.pages[n:])
+	}
+	t.grow(a)
+	var pg *linePage
+	if n := len(t.free); n > 0 {
+		pg = t.free[n-1]
+		t.free = t.free[:n-1]
+		*pg = linePage{}
+	} else {
+		//lint:ignore hotalloc one page per pageLines touched lines, recycled through the free list across resets
+		pg = &linePage{}
+	}
+	t.fillBufs(pg, pi<<pageShift)
+	t.pages[pi] = pg
+	return pg
+}
+
+// fillBufs labels the page starting at slot index first with the ids of
+// the registered buffers it overlaps: a binary search finds the first
+// buffer ending beyond the page start, then the page is filled run by run
+// (bump allocation keeps bufs sorted and disjoint). A zeroed page already
+// labels every line anonymous.
+func (t *lineTable) fillBufs(pg *linePage, first int) {
+	lo, hi := 0, len(t.bufs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if _, end := t.bufRange(mid + 1); end <= first {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	last := first + pageLines
+	for id := lo + 1; id <= len(t.bufs); id++ {
+		blo, bhi := t.bufRange(id)
+		if blo >= last {
+			break
+		}
+		for i := max(blo, first); i < min(bhi, last); i++ {
+			pg.buf[i-first] = int32(id)
+		}
+	}
+}
+
+// eachSlot calls fn for every slot of the built pages in ascending line
+// order, with the slot's absolute line and buffer id. Absent pages are
+// skipped: every slot of them would be zero.
+func (t *lineTable) eachSlot(fn func(l uint64, s *lineSlot, id int32)) {
+	for pi, pg := range t.pages {
+		if pg == nil {
+			continue
+		}
+		first := uint64(t.base) + uint64(pi)<<pageShift
+		for j := range pg.slots {
+			fn(first+uint64(j), &pg.slots[j], pg.buf[j])
+		}
+	}
+}
+
+// lineState returns the table, slot and buffer id for l, building the
+// line's page on first touch. The returned pointer is valid only until the
+// next potential block — never hold it across a blocking call.
+func (m *Machine) lineState(l cache.Line) (*lineTable, *lineSlot, int32) {
 	t := &m.lines[memmode.KindOfAddr(l.Addr())]
 	i := int(uint64(l) - uint64(t.base))
-	if i >= len(t.slots) {
-		t.grow(m.Alloc, i)
-	}
-	return t, &t.slots[i], i
+	pg := t.page(m.Alloc, i)
+	return t, &pg.slots[i&pageMask], pg.buf[i&pageMask]
 }
 
 // --- directory ------------------------------------------------------------
@@ -166,13 +250,13 @@ func (m *Machine) lineState(l cache.Line) (*lineTable, *lineSlot, int) {
 // (the former map did a lookup plus a write). A slot whose generation
 // lags its buffer's holds a retired entry and is treated as empty.
 func (m *Machine) dirAdd(l cache.Line, tile int) {
-	t, s, i := m.lineState(l)
-	g := t.bufGen[t.lineBuf[i]]
+	t, s, id := m.lineState(l)
+	g := t.bufGen[id]
 	bit := uint64(1) << uint(tile)
 	if s.owners == 0 || s.gen != g {
 		s.owners = bit
 		s.gen = g
-		t.bufLive[t.lineBuf[i]]++
+		t.bufLive[id]++
 		t.dirLive++
 		return
 	}
@@ -181,21 +265,21 @@ func (m *Machine) dirAdd(l cache.Line, tile int) {
 
 // dirRemove clears the tile's bit in one slot access.
 func (m *Machine) dirRemove(l cache.Line, tile int) {
-	t, s, i := m.lineState(l)
-	if s.owners == 0 || s.gen != t.bufGen[t.lineBuf[i]] {
+	t, s, id := m.lineState(l)
+	if s.owners == 0 || s.gen != t.bufGen[id] {
 		return
 	}
 	s.owners &^= 1 << uint(tile)
 	if s.owners == 0 {
-		t.bufLive[t.lineBuf[i]]--
+		t.bufLive[id]--
 		t.dirLive--
 	}
 }
 
 // owners returns the tile bitset holding the line.
 func (m *Machine) owners(l cache.Line) uint64 {
-	t, s, i := m.lineState(l)
-	if s.gen != t.bufGen[t.lineBuf[i]] {
+	t, s, id := m.lineState(l)
+	if s.gen != t.bufGen[id] {
 		return 0
 	}
 	return s.owners
@@ -255,8 +339,7 @@ func (m *Machine) watchVersion(l cache.Line) uint64 {
 
 // waitWatch blocks p until the line's notify version exceeds ver,
 // creating the slot's signal on demand (notify frees it again after each
-// broadcast). The slot is re-resolved after every wake-up: the table may
-// have grown while the process slept.
+// broadcast). The slot is re-resolved after every wake-up.
 func (m *Machine) waitWatch(p *sim.Proc, l cache.Line, ver uint64) {
 	for {
 		_, s, _ := m.lineState(l)

@@ -66,7 +66,7 @@ type Machine struct {
 	tiles []*tileState
 	cores []*coreState
 
-	// lines holds the dense per-line metadata tables — directory owner
+	// lines holds the paged per-line metadata tables — directory owner
 	// bitsets, payload words, watch slots — one per memory kind, replacing
 	// the former dir/words/watchers maps (see linetable.go).
 	lines [2]lineTable
@@ -256,13 +256,12 @@ func (m *Machine) placeOf(b memmode.Buffer, l cache.Line) cluster.LinePlace {
 // used for evicted victims. The line table records each line's buffer, so
 // the lookup is O(1) instead of the allocator's binary search.
 func (m *Machine) placeOfLine(l cache.Line) (cluster.LinePlace, bool) {
-	t, _, i := m.lineState(l)
-	id := t.lineBuf[i]
+	t, _, id := m.lineState(l)
 	if id == 0 {
-		// The mapping may lag the allocator for a line whose region was
-		// extended before its buffer existed; sync once and re-check.
-		t.grow(m.Alloc, i)
-		if id = t.lineBuf[i]; id == 0 {
+		// The mapping may lag the allocator for a line whose page was
+		// built before its buffer existed; sync once and re-check.
+		t.grow(m.Alloc)
+		if _, _, id = m.lineState(l); id == 0 {
 			return cluster.LinePlace{}, false
 		}
 	}
@@ -347,13 +346,13 @@ func (m *Machine) invalidateTags(l cache.Line, owners uint64) {
 // FlushLine removes a line from every cache (no timing cost; benchmark
 // setup only). Dirty data is discarded.
 func (m *Machine) FlushLine(l cache.Line) {
-	t, s, i := m.lineState(l)
-	if s.owners == 0 || s.gen != t.bufGen[t.lineBuf[i]] {
+	t, s, id := m.lineState(l)
+	if s.owners == 0 || s.gen != t.bufGen[id] {
 		return
 	}
 	m.invalidateTags(l, s.owners)
 	s.owners = 0
-	t.bufLive[t.lineBuf[i]]--
+	t.bufLive[id]--
 	t.dirLive--
 }
 
@@ -368,10 +367,10 @@ func (m *Machine) FlushBuffer(b memmode.Buffer) {
 	if n == 0 {
 		return
 	}
-	t, _, lo := m.lineState(b.Line(0))
-	if id := t.lineBuf[lo]; id != 0 {
+	t, _, id := m.lineState(b.Line(0))
+	if id != 0 {
 		if rec := t.bufs[id-1]; rec.Base == b.Base && rec.Bytes == b.Bytes {
-			m.flushEpoch(t, id, lo, n)
+			m.flushEpoch(t, id)
 			return
 		}
 	}
@@ -381,18 +380,28 @@ func (m *Machine) FlushBuffer(b memmode.Buffer) {
 }
 
 // flushEpoch retires a whole registered allocation: cached lines leave
-// the tag arrays (the walk stops as soon as the buffer's live count is
-// exhausted, so flushing an already-cold buffer is O(1)), then a single
-// generation bump kills every directory entry at once.
-func (m *Machine) flushEpoch(t *lineTable, id int32, lo, n int) {
+// the tag arrays (the walk visits only the buffer's built pages and stops
+// as soon as its live count is exhausted, so flushing an already-cold
+// buffer is O(1)), then a single generation bump kills every directory
+// entry at once.
+func (m *Machine) flushEpoch(t *lineTable, id int32) {
 	g := t.bufGen[id]
-	for i, live := lo, t.bufLive[id]; live > 0 && i < lo+n; i++ {
-		s := &t.slots[i]
-		if s.owners == 0 || s.gen != g {
+	lo, hi := t.bufRange(int(id))
+	live := t.bufLive[id]
+	for pi := lo >> pageShift; live > 0 && pi <= (hi-1)>>pageShift && pi < len(t.pages); pi++ {
+		pg := t.pages[pi]
+		if pg == nil {
 			continue
 		}
-		m.invalidateTags(t.base+cache.Line(i), s.owners)
-		live--
+		first := pi << pageShift
+		for i := max(lo, first); live > 0 && i < min(hi, first+pageLines); i++ {
+			s := &pg.slots[i&pageMask]
+			if s.owners == 0 || s.gen != g {
+				continue
+			}
+			m.invalidateTags(t.base+cache.Line(i), s.owners)
+			live--
+		}
 	}
 	t.bufGen[id] = g + 1
 	t.dirLive -= int(t.bufLive[id])

@@ -115,8 +115,8 @@ func (m *Machine) storeLineNT(p *sim.Proc, core int, b memmode.Buffer, l cache.L
 // dropped bits are cleared at once instead of one lookup-plus-write per
 // owning tile.
 func (m *Machine) invalidateOthers(exceptTile int, l cache.Line) {
-	t, s, i := m.lineState(l)
-	if s.owners == 0 || s.gen != t.bufGen[t.lineBuf[i]] {
+	t, s, id := m.lineState(l)
+	if s.owners == 0 || s.gen != t.bufGen[id] {
 		return
 	}
 	var keep uint64
@@ -130,7 +130,7 @@ func (m *Machine) invalidateOthers(exceptTile int, l cache.Line) {
 		m.invalidateTileL1s(ti, l)
 	}
 	if drop != 0 && keep == 0 {
-		t.bufLive[t.lineBuf[i]]--
+		t.bufLive[id]--
 		t.dirLive--
 	}
 	s.owners = keep

@@ -214,12 +214,15 @@ type flushJob struct {
 }
 
 // flushJoin is the join counter shared by a multi-channel flush's helper
-// processes. It is allocated once per stream op and reused across flushes —
-// the Signal's waiter list is empty between them, and Signal identity is
-// not simulated state.
+// processes, plus the helpers' frames. It is allocated once per stream op
+// and reused across flushes: the Signal's waiter list is empty between
+// them, Signal identity is not simulated state, and every helper retires
+// (its step frame drops the Stepper) before done wakes the op, so the next
+// flush can rewrite the frames in place.
 type flushJoin struct {
 	remaining int
 	done      *sim.Signal
+	jobs      [2 * 2 * maxChans]memJobStep
 }
 
 // memJobStep serves one flush job and joins: the step form of the old
@@ -413,8 +416,9 @@ func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 		join.remaining = nj
 		for ji := 0; ji < nj; ji++ {
 			if m.Steps {
-				//lint:ignore hotalloc one helper frame per flushed channel, the spawn the old goroutine version also paid
-				m.Env.GoSteps("mem", &memJobStep{m: m, j: jobs[ji], join: join})
+				w := &join.jobs[ji]
+				*w = memJobStep{m: m, j: jobs[ji], join: join}
+				m.Env.GoSteps("mem", w)
 			} else {
 				j := jobs[ji]
 				//lint:ignore hotalloc one helper process per flushed channel (goroutine A/B mode)

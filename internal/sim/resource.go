@@ -16,8 +16,12 @@ type Resource struct {
 	capacity int
 	//knl:nostate zero at every quiescent digest/Reset point (Reset panics otherwise)
 	inUse int
+	// waiters[whead:] is the FIFO queue; Release advances whead instead of
+	// shifting the slice, and compacts once the dead prefix dominates.
 	//knl:nostate empty at every quiescent digest/Reset point (Reset panics otherwise)
 	waiters []*Proc
+	//knl:nostate zero whenever the queue is empty, so at every quiescent digest/Reset point
+	whead int
 	// Stats: acquires is folded by the machine digest; the rest feed
 	// Utilization/MaxQueue reporting only.
 	acquires uint64
@@ -48,14 +52,14 @@ func (r *Resource) Name() string { return r.name }
 // scheduler (see step.go).
 func (r *Resource) acquireOrPark(p *Proc) bool {
 	r.acquires++
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.accountBusy()
 		r.inUse++
 		return true
 	}
 	r.waiters = append(r.waiters, p)
-	if len(r.waiters) > r.maxQueue {
-		r.maxQueue = len(r.waiters)
+	if q := r.QueueLen(); q > r.maxQueue {
+		r.maxQueue = q
 	}
 	p.env.blocked++
 	return false
@@ -73,7 +77,7 @@ func (r *Resource) Acquire(p *Proc) {
 
 // TryAcquire obtains a slot without blocking; it reports whether it succeeded.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.accountBusy()
 		r.inUse++
 		return true
@@ -88,10 +92,20 @@ func (r *Resource) Release() {
 		panic("sim: Release of idle resource " + r.name)
 	}
 	r.accountBusy()
-	if len(r.waiters) > 0 {
-		head := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
+	if r.whead < len(r.waiters) {
+		head := r.waiters[r.whead]
+		r.waiters[r.whead] = nil
+		r.whead++
+		switch {
+		case r.whead == len(r.waiters):
+			r.waiters = r.waiters[:0]
+			r.whead = 0
+		case r.whead >= 64 && 2*r.whead >= len(r.waiters):
+			n := copy(r.waiters, r.waiters[r.whead:])
+			clear(r.waiters[n:])
+			r.waiters = r.waiters[:n]
+			r.whead = 0
+		}
 		// Slot transfers directly: inUse stays the same.
 		r.env.unblock(head)
 		return
@@ -110,7 +124,7 @@ func (r *Resource) Use(p *Proc, d Time) {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes currently waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }
 
 // Acquires returns the total number of Acquire/TryAcquire-success calls.
 func (r *Resource) Acquires() uint64 { return r.acquires }
@@ -132,7 +146,7 @@ func (r *Resource) Utilization() float64 {
 // the resource is held or has waiters (Reset belongs between completed
 // simulation runs, never during one).
 func (r *Resource) Reset() {
-	if r.inUse != 0 || len(r.waiters) != 0 {
+	if r.inUse != 0 || r.QueueLen() != 0 {
 		panic("sim: Reset of busy resource " + r.name)
 	}
 	r.acquires = 0

@@ -15,7 +15,8 @@ type Signal struct {
 // NewSignal creates a Signal bound to env. It has no side effect on env,
 // so hot-path callers may allocate one lazily and reuse it indefinitely
 // (the machine's stream flush join does); the waiter list empties on every
-// Broadcast and Signal identity is never part of the state digest.
+// Broadcast, keeping its capacity, and Signal identity is never part of the
+// state digest.
 func NewSignal(env *Env) *Signal {
 	//lint:ignore hotalloc one Signal per lazy creation; hot-path callers pool and reuse it (stream flush joins, watcher slots)
 	return &Signal{env: env}
@@ -49,14 +50,17 @@ func (s *Signal) WaitVersion(p *Proc, v uint64) uint64 {
 func (s *Signal) Version() uint64 { return s.version }
 
 // Broadcast resumes every waiting process at the current time (in the order
-// they began waiting) and increments the version.
+// they began waiting) and increments the version. The waiter slice is kept
+// for the next round of waiters: unblock only schedules, so no process can
+// re-wait while the loop runs.
 func (s *Signal) Broadcast() {
 	s.version++
 	ws := s.waiters
-	s.waiters = nil
 	for _, p := range ws {
 		s.env.unblock(p)
 	}
+	clear(ws)
+	s.waiters = ws[:0]
 }
 
 // Waiting returns the number of processes currently blocked on the Signal.

@@ -12,9 +12,12 @@
 // so a step costs one channel transfer instead of the classic two (worker
 // to scheduler, scheduler to next worker) — and when the next event belongs
 // to the ceding process itself, the step costs no channel operation at all.
-// The event queue is a concrete 4-ary heap over a slice of event values and
-// resume channels are recycled through a free list, so the steady-state
-// per-event path performs no allocation.
+// The event queue is a concrete 4-ary heap over a slice of event values plus
+// a FIFO lane for events scheduled at the current instant, which make up
+// nearly half of a streaming run's events: they skip the heap entirely and
+// pop in scheduling order with no comparisons. Resume channels are recycled
+// through a free list, so the steady-state per-event path performs no
+// allocation.
 //
 // Time is in nanoseconds (float64), matching the units of the capability
 // model in the paper.
@@ -41,16 +44,57 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a 4-ary min-heap of events. A 4-ary layout halves the tree
-// depth of a binary heap and keeps the four children of a node in one or
-// two cache lines; the concrete element type avoids the interface{} boxing
-// that container/heap imposes on every Push and Pop.
+// eventQueue is a 4-ary min-heap of events plus a same-instant lane. A
+// 4-ary layout halves the tree depth of a binary heap and keeps the four
+// children of a node in one or two cache lines; the concrete element type
+// avoids the interface{} boxing that container/heap imposes on every Push
+// and Pop.
+//
+// The lane holds events scheduled for the instant they were scheduled at
+// (a resource hand-off, a Signal wake-up, a spawn at Now). Their order is
+// exact without comparisons: the lane's seqs ascend, every lane event is at
+// the current instant (the clock only advances once the lane is empty), and
+// any heap event at the same instant was scheduled before the clock reached
+// it — so it has a lower seq than every lane event and pops first.
 type eventQueue struct {
 	//knl:nostate empty whenever a machine is digested or reset (Env.Reset panics otherwise)
 	h []event
+	//knl:nostate empty whenever a machine is digested or reset (Env.Reset panics otherwise)
+	lane []event
+	//knl:nostate index of the lane's oldest event; zero whenever the lane is empty
+	laneHead int
 }
 
-func (q *eventQueue) len() int { return len(q.h) }
+func (q *eventQueue) len() int { return len(q.h) + len(q.lane) - q.laneHead }
+
+// pushNow appends an event scheduled at the current instant to the lane.
+func (q *eventQueue) pushNow(ev event) {
+	q.lane = append(q.lane, ev)
+}
+
+// next pops the earliest event: the heap top when it is due at now (it was
+// scheduled before any lane event), else the lane head, else the heap top.
+func (q *eventQueue) next(now Time) event {
+	if q.laneHead == len(q.lane) || (len(q.h) != 0 && q.h[0].at <= now) {
+		return q.pop()
+	}
+	ev := q.lane[q.laneHead]
+	q.lane[q.laneHead] = event{} // drop the proc pointer so retired processes collect
+	q.laneHead++
+	switch {
+	case q.laneHead == len(q.lane):
+		q.lane = q.lane[:0]
+		q.laneHead = 0
+	case q.laneHead >= 1024 && 2*q.laneHead >= len(q.lane):
+		// A long same-instant burst: slide the live tail down so the
+		// lane's backing array stays bounded by its live length.
+		n := copy(q.lane, q.lane[q.laneHead:])
+		clear(q.lane[n:])
+		q.lane = q.lane[:n]
+		q.laneHead = 0
+	}
+	return ev
+}
 
 func (q *eventQueue) push(ev event) {
 	q.h = append(q.h, ev)
@@ -215,9 +259,14 @@ func (e *Env) retire(p *Proc) {
 	e.cede(nil)
 }
 
-// schedule queues a resumption of p at time at.
+// schedule queues a resumption of p at time at: on the same-instant lane
+// when at is the current time, on the heap otherwise.
 func (e *Env) schedule(p *Proc, at Time) {
 	e.seq++
+	if at == e.now {
+		e.events.pushNow(event{at: at, seq: e.seq, proc: p})
+		return
+	}
 	e.events.push(event{at: at, seq: e.seq, proc: p})
 }
 
@@ -227,12 +276,13 @@ func (e *Env) schedule(p *Proc, at Time) {
 // and must run first), pushing and immediately popping it is pure overhead —
 // the clock advances and the same process keeps running. The seq increment
 // still happens, so Seq-based digests are bit-identical with the slow path.
-// Reports false when a queued event is due first; the caller then schedules
-// and yields as usual.
+// Reports false when a queued event is due first — any lane event is (it is
+// at the current instant with an earlier seq) — and the caller then
+// schedules and yields as usual.
 //
 //knl:hotpath the fused wait of the protocol walks; BenchmarkLoadLineHotPath pins 0 allocs/op
 func (e *Env) waitFast(at Time) bool {
-	if len(e.events.h) != 0 && e.events.h[0].at <= at {
+	if e.events.laneHead != len(e.events.lane) || (len(e.events.h) != 0 && e.events.h[0].at <= at) {
 		return false
 	}
 	e.seq++
@@ -252,7 +302,7 @@ func (e *Env) cede(self *Proc) bool {
 			e.driver <- struct{}{}
 			return false
 		}
-		ev := e.events.pop()
+		ev := e.events.next(e.now)
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
@@ -348,7 +398,7 @@ func (e *Env) Run() (Time, error) {
 	// event hands control into the process web, which returns it through
 	// the driver channel once the queue is empty.
 	for e.events.len() > 0 {
-		ev := e.events.pop()
+		ev := e.events.next(e.now)
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}

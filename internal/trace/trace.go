@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"knlcap/internal/machine"
@@ -14,10 +15,13 @@ import (
 )
 
 // Collector buffers operation records up to a capacity (0 = unbounded);
-// beyond it, the earliest records are dropped and counted.
+// beyond it, the earliest records are dropped and counted. A full
+// collector is a ring: Record overwrites the oldest record in O(1), and
+// readers see the records oldest first.
 type Collector struct {
 	capacity int
 	records  []machine.OpRecord
+	head     int // index of the oldest record once the ring is full
 	dropped  uint64
 }
 
@@ -31,8 +35,11 @@ func NewCollector(capacity int) *Collector {
 // Record implements machine.Tracer.
 func (c *Collector) Record(r machine.OpRecord) {
 	if c.capacity > 0 && len(c.records) >= c.capacity {
-		copy(c.records, c.records[1:])
-		c.records[len(c.records)-1] = r
+		c.records[c.head] = r
+		c.head++
+		if c.head == len(c.records) {
+			c.head = 0
+		}
 		c.dropped++
 		return
 	}
@@ -45,12 +52,22 @@ func (c *Collector) Len() int { return len(c.records) }
 // Dropped returns how many early records were displaced.
 func (c *Collector) Dropped() uint64 { return c.dropped }
 
-// Records returns the buffered records (shared slice; do not mutate).
-func (c *Collector) Records() []machine.OpRecord { return c.records }
+// Records returns the buffered records, oldest first (shared slice; do not
+// mutate). A wrapped ring is rotated in place, once per wrap-around.
+func (c *Collector) Records() []machine.OpRecord {
+	if c.head != 0 {
+		slices.Reverse(c.records[:c.head])
+		slices.Reverse(c.records[c.head:])
+		slices.Reverse(c.records)
+		c.head = 0
+	}
+	return c.records
+}
 
 // Reset clears the buffer.
 func (c *Collector) Reset() {
 	c.records = c.records[:0]
+	c.head = 0
 	c.dropped = 0
 }
 
@@ -82,7 +99,7 @@ type GroupSummary struct {
 // distributions, sorted by key.
 func (c *Collector) Summaries(key GroupKey) []GroupSummary {
 	buckets := map[string][]float64{}
-	for _, r := range c.records {
+	for _, r := range c.Records() {
 		k := key(r)
 		buckets[k] = append(buckets[k], r.Latency())
 	}
@@ -111,7 +128,7 @@ func (c *Collector) BusyFraction() map[int]float64 {
 	}
 	var lo, hi float64
 	busy := map[int]float64{}
-	for i, r := range c.records {
+	for i, r := range c.Records() {
 		if i == 0 || r.Start < lo {
 			lo = r.Start
 		}
@@ -135,7 +152,7 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "start_ns,end_ns,core,kind,source,line"); err != nil {
 		return err
 	}
-	for _, r := range c.records {
+	for _, r := range c.Records() {
 		if _, err := fmt.Fprintf(w, "%.3f,%.3f,%d,%s,%s,%d\n",
 			r.Start, r.End, r.Core, r.Kind, r.Source, r.Line); err != nil {
 			return err

@@ -77,6 +77,55 @@ func TestCollectorCapacityDropsOldest(t *testing.T) {
 	}
 }
 
+// shiftCollector is the collector's former full-buffer policy: shift every
+// record down one slot and append. The ring must retain the same records in
+// the same order.
+type shiftCollector struct {
+	capacity int
+	records  []machine.OpRecord
+	dropped  uint64
+}
+
+func (c *shiftCollector) record(r machine.OpRecord) {
+	if c.capacity > 0 && len(c.records) >= c.capacity {
+		copy(c.records, c.records[1:])
+		c.records[len(c.records)-1] = r
+		c.dropped++
+		return
+	}
+	c.records = append(c.records, r)
+}
+
+// TestCollectorRingMatchesShift feeds the ring and the shifting reference
+// the same stream at capacities 1, 2 and N, reading the ring back at
+// irregular points (a read rotates a wrapped ring in place), and checks
+// the retained records, their order and the drop count after every record.
+func TestCollectorRingMatchesShift(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7} {
+		ring := NewCollector(capacity)
+		ref := &shiftCollector{capacity: capacity}
+		for i := 0; i < 40; i++ {
+			r := machine.OpRecord{Start: float64(i), End: float64(i) + 1, Core: i % 5, Line: cache.Line(i)}
+			ring.Record(r)
+			ref.record(r)
+			if i%3 != 0 && i != 39 {
+				continue // let the ring wrap between reads
+			}
+			got := ring.Records()
+			if len(got) != len(ref.records) || ring.Dropped() != ref.dropped {
+				t.Fatalf("cap %d after %d: len %d dropped %d, want %d and %d",
+					capacity, i+1, len(got), ring.Dropped(), len(ref.records), ref.dropped)
+			}
+			for j := range got {
+				if got[j] != ref.records[j] {
+					t.Fatalf("cap %d after %d: record %d = %+v, want %+v",
+						capacity, i+1, j, got[j], ref.records[j])
+				}
+			}
+		}
+	}
+}
+
 func TestGroupers(t *testing.T) {
 	c := NewCollector(0)
 	runTraced(t, c)
