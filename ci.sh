@@ -40,9 +40,10 @@ step "go test ./..."
 go test ./...
 
 if [ "$quick" = 0 ]; then
-    # These packages spawn goroutines (the parallel sort, the simulator's
-    # process mechanism, and the experiment worker pool); everything else
-    # is single-threaded.
+    # These packages run code on more than one goroutine: the parallel
+    # sort, the simulator's blocking processes (iter.Pull coroutines, which
+    # switch goroutines at every suspend and resume), and the experiment
+    # worker pool; everything else is single-threaded.
     step "go test -race (internal/msort, internal/sim, internal/exp)"
     go test -race ./internal/msort ./internal/sim ./internal/exp
 
@@ -58,30 +59,33 @@ if [ "$quick" = 0 ]; then
     go test -bench='LoadLineHotPath|PrimeFlush' -benchtime=1x -run '^$' ./internal/machine
 
     # Tier 2: the zero-allocation guarantee the hotalloc analyzer enforces
-    # statically, re-proved dynamically: the steady-state event, step-handoff,
-    # line and stream-flush paths must report 0 allocs/op under -benchmem.
+    # statically, re-proved dynamically: the steady-state event, step- and
+    # coroutine-handoff, line and stream-flush paths must report 0 allocs/op
+    # under -benchmem.
     step "tier-2: zero-alloc gate (-benchmem, allocs/op must be 0)"
-    go test -bench='BenchmarkEngineEventThroughput|BenchmarkStepHandoff' -benchtime=5000x -benchmem -run '^$' ./internal/sim |
+    go test -bench='BenchmarkEngineEventThroughput|BenchmarkStepHandoff|BenchmarkEngineCoroutineHandoff' -benchtime=5000x -benchmem -run '^$' ./internal/sim |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
     go test -bench='BenchmarkLoadLineHotPath|BenchmarkStoreLineHotPath|BenchmarkStreamFlush' -benchtime=5000x -benchmem -run '^$' ./internal/machine |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
 
-    # Tier 2: steps-on/off A/B on the store-walk benchmarks. The contention
-    # sweep exercises the RFO invalidate fan-out and the ping-pong pairs the
-    # signal-watch juncture; a -nosteps run must print byte-identical rows.
-    step "tier-2: contention sweep steps A/B (-nosteps must be byte-identical)"
-    abdir=$(mktemp -d)
-    go build -o "$abdir/knl-bench" ./cmd/knl-bench
-    "$abdir/knl-bench" -table 1 -quick -nojitter -csv          > "$abdir/steps.csv"
-    "$abdir/knl-bench" -table 1 -quick -nojitter -csv -nosteps > "$abdir/nosteps.csv"
-    if ! cmp -s "$abdir/steps.csv" "$abdir/nosteps.csv"; then
-        echo "ci.sh: -nosteps contention sweep diverged from the step engine" >&2
-        diff "$abdir/steps.csv" "$abdir/nosteps.csv" >&2 || true
+    # Tier 2: the Table I golden. The quick jitter-free table runs the
+    # contention sweep (RFO invalidate fan-out), the ping-pong pairs (the
+    # signal-watch juncture) and the copy/multi-line iteration loops; its
+    # CSV must match testdata/table1_quick_nojitter.csv byte for byte. The
+    # golden was captured from the goroutine process engine before its
+    # deletion, when an A/B stage proved the step engine matched it.
+    step "tier-2: Table I golden (knl-bench -table 1 -quick -nojitter -csv vs testdata/table1_quick_nojitter.csv)"
+    t1dir=$(mktemp -d)
+    go build -o "$t1dir/knl-bench" ./cmd/knl-bench
+    "$t1dir/knl-bench" -table 1 -quick -nojitter -csv > "$t1dir/table1.csv"
+    if ! cmp -s "$t1dir/table1.csv" testdata/table1_quick_nojitter.csv; then
+        echo "ci.sh: knl-bench -table 1 -quick -nojitter -csv diverged from testdata/table1_quick_nojitter.csv" >&2
+        diff "$t1dir/table1.csv" testdata/table1_quick_nojitter.csv >&2 || true
         exit 1
     fi
-    rm -rf "$abdir"
+    rm -rf "$t1dir"
 
     # Tier 2: the cheap Fig 10 artifact. The MCDRAM 4096-line panel runs
     # the step-kernel sort end to end in well under a second; its stdout

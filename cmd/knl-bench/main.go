@@ -9,11 +9,15 @@
 //	knl-bench -table 2 -memmode cache  # Table II cache-mode section
 //	knl-bench -quick                   # reduced iteration counts
 //	knl-bench -csv                     # CSV instead of aligned text
+//
+// Exit codes: 0 ok, 2 usage or setup error (an unknown -table or -memmode,
+// or a negative -iterations, is a usage error).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -29,34 +33,72 @@ import (
 func cacheE() cache.State { return cache.Exclusive }
 
 func main() {
-	table := flag.Int("table", 1, "which table to regenerate (1 or 2)")
-	memmode := flag.String("memmode", "flat", "memory mode for table 2: flat, cache or hybrid")
-	quick := flag.Bool("quick", false, "reduced measurement effort")
-	csv := flag.Bool("csv", false, "emit CSV")
-	iterations := flag.Int("iterations", 0, "override bandwidth iterations")
-	experiments := flag.Bool("experiments", false, "list the experiment registry and exit")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// fprintf and fprintln write output, deliberately dropping write errors:
+// a run whose own output pipe fails has nothing useful left to report.
+func fprintf(w io.Writer, format string, args ...any) {
+	_, _ = fmt.Fprintf(w, format, args...)
+}
+
+func fprintln(w io.Writer, args ...any) {
+	_, _ = fmt.Fprintln(w, args...)
+}
+
+// usageError reports a bad flag value with the flag listing and returns
+// the usage exit code.
+func usageError(fs *flag.FlagSet, format string, args ...any) int {
+	fprintf(fs.Output(), "knl-bench: "+format+"\n", args...)
+	fs.Usage()
+	return 2
+}
+
+// run is the command body: it parses args, writes the table to stdout and
+// progress to stderr, and returns the exit code (0 ok, 2 usage or setup
+// error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("knl-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 1, "which table to regenerate (1 or 2)")
+	memmode := fs.String("memmode", "flat", "memory mode for table 2: flat, cache or hybrid")
+	quick := fs.Bool("quick", false, "reduced measurement effort")
+	csv := fs.Bool("csv", false, "emit CSV")
+	iterations := fs.Int("iterations", 0, "override bandwidth iterations (0 = the default)")
+	experiments := fs.Bool("experiments", false, "list the experiment registry and exit")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker-pool size for independent measurement points (1 = serial; results are identical at every setting)")
-	useCache := flag.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
-	cacheDir := flag.String("cache-dir", "results/.memocache", "directory of the result cache")
-	converge := flag.Int("converge", 0,
+	useCache := fs.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
+	cacheDir := fs.String("cache-dir", "results/.memocache", "directory of the result cache")
+	converge := fs.Int("converge", 0,
 		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
-	nojitter := flag.Bool("nojitter", false, "disable the simulated timing jitter")
-	nosteps := flag.Bool("nosteps", false, "run protocol walks as goroutine processes instead of stackless step machines (debugging; bit-identical results)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	flag.Parse()
+	nojitter := fs.Bool("nojitter", false, "disable the simulated timing jitter")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *table != 1 && *table != 2 {
+		return usageError(fs, "-table must be 1 or 2")
+	}
+	mm, err := knl.ParseMemoryMode(*memmode)
+	if err != nil {
+		return usageError(fs, "%v", err)
+	}
+	if *iterations < 0 {
+		return usageError(fs, "-iterations %d is negative", *iterations)
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-bench:", err)
-		os.Exit(2)
+		fprintln(stderr, "knl-bench:", err)
+		return 2
 	}
 	defer stopProf()
 
 	if *experiments {
-		report.ExperimentsTable().Write(os.Stdout)
-		return
+		report.ExperimentsTable().Write(stdout)
+		return 0
 	}
 
 	o := bench.DefaultOptions()
@@ -69,54 +111,28 @@ func main() {
 	o.Parallel = *parallel
 	o.ConvergeAfter = *converge
 	o.NoJitter = *nojitter
-	o.NoSteps = *nosteps
-	mc := openMemo("knl-bench", *useCache, *cacheDir)
-	o.Memo = mc
-	defer memoReport(mc)
-
-	switch *table {
-	case 1:
-		emit(tableI(o), *csv)
-	case 2:
-		mm, err := knl.ParseMemoryMode(*memmode)
+	if *useCache {
+		mc, err := memo.New(*cacheDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "knl-bench:", err)
-			os.Exit(2)
+			fprintln(stderr, "knl-bench:", err)
+			return 2
 		}
-		emit(tableII(o, mm), *csv)
-	default:
-		fmt.Fprintln(os.Stderr, "knl-bench: -table must be 1 or 2")
-		os.Exit(2)
+		o.Memo = mc
+		defer func() { fprintln(stderr, "memo:", mc.Stats()) }()
 	}
-}
 
-// openMemo opens the on-disk result cache when enabled; a nil cache
-// disables memoization throughout the measurement layers.
-func openMemo(prog string, enabled bool, dir string) *memo.Cache {
-	if !enabled {
-		return nil
+	var t *report.Table
+	if *table == 1 {
+		t = tableI(stderr, o)
+	} else {
+		t = tableII(stderr, o, mm)
 	}
-	c, err := memo.New(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, prog+":", err)
-		os.Exit(2)
+	if *csv {
+		t.CSV(stdout)
+	} else {
+		t.Write(stdout)
 	}
-	return c
-}
-
-// memoReport prints the cache traffic counters to stderr.
-func memoReport(c *memo.Cache) {
-	if c != nil {
-		fmt.Fprintln(os.Stderr, "memo:", c.Stats())
-	}
-}
-
-func emit(t *report.Table, csv bool) {
-	if csv {
-		t.CSV(os.Stdout)
-		return
-	}
-	t.Write(os.Stdout)
+	return 0
 }
 
 func rangeStr(r bench.Range) string {
@@ -126,14 +142,14 @@ func rangeStr(r bench.Range) string {
 	return fmt.Sprintf("%s-%s", report.FormatFloat(r.Lo), report.FormatFloat(r.Hi))
 }
 
-func tableI(o bench.Options) *report.Table {
+func tableI(stderr io.Writer, o bench.Options) *report.Table {
 	t := &report.Table{
 		Title:   "Table I: cache-to-cache benchmark results (simulated KNL)",
 		Headers: []string{"Metric"},
 	}
 	var cols []bench.TableI
 	for _, cfg := range knl.AllConfigs(knl.Flat) {
-		fmt.Fprintf(os.Stderr, "measuring %s...\n", cfg.Name())
+		fprintf(stderr, "measuring %s...\n", cfg.Name())
 		t.Headers = append(t.Headers, cfg.Cluster.String())
 		cols = append(cols, bench.MeasureTableI(cfg, o))
 	}
@@ -198,14 +214,14 @@ func tableI(o bench.Options) *report.Table {
 	return t
 }
 
-func tableII(o bench.Options, mm knl.MemoryMode) *report.Table {
+func tableII(stderr io.Writer, o bench.Options, mm knl.MemoryMode) *report.Table {
 	t := &report.Table{
 		Title:   fmt.Sprintf("Table II: memory benchmark results, %v mode (simulated KNL)", mm),
 		Headers: []string{"Metric"},
 	}
 	var cols []bench.TableII
 	for _, cfg := range knl.AllConfigs(mm) {
-		fmt.Fprintf(os.Stderr, "measuring %s...\n", cfg.Name())
+		fprintf(stderr, "measuring %s...\n", cfg.Name())
 		t.Headers = append(t.Headers, cfg.Cluster.String())
 		cols = append(cols, bench.MeasureTableII(cfg, o, nil, nil))
 	}

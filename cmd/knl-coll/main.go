@@ -79,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	converge := fs.Int("converge", 0,
 		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
 	nojitter := fs.Bool("nojitter", false, "disable the simulated timing jitter")
-	nosteps := fs.Bool("nosteps", false, "run protocol walks as goroutine processes instead of stackless step machines (debugging; bit-identical results)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
@@ -131,7 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o.Parallel = *parallel
 	o.ConvergeAfter = *converge
 	o.NoJitter = *nojitter
-	o.NoSteps = *nosteps
 	if *useCache {
 		mc, err := memo.New(*cacheDir)
 		if err != nil {

@@ -8,11 +8,15 @@
 //	knl-sweep -fig 4
 //	knl-sweep -fig 5 -quick
 //	knl-sweep -fig 9 -sched compact
+//
+// Exit codes: 0 ok, 2 usage or setup error (an unknown -fig or -sched is a
+// usage error).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -25,26 +29,62 @@ import (
 )
 
 func main() {
-	fig := flag.Int("fig", 4, "figure to regenerate: 4, 5 or 9")
-	sched := flag.String("sched", "fill-tiles", "figure 9 schedule: fill-tiles | compact")
-	quick := flag.Bool("quick", false, "reduced effort")
-	csv := flag.Bool("csv", false, "emit CSV")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// fprintln writes output, deliberately dropping write errors: a run whose
+// own output pipe fails has nothing useful left to report.
+func fprintln(w io.Writer, args ...any) {
+	_, _ = fmt.Fprintln(w, args...)
+}
+
+// usageError reports a bad flag value with the flag listing and returns
+// the usage exit code.
+func usageError(fs *flag.FlagSet, format string, args ...any) int {
+	_, _ = fmt.Fprintf(fs.Output(), "knl-sweep: "+format+"\n", args...)
+	fs.Usage()
+	return 2
+}
+
+// run is the command body: it parses args, writes the figure to stdout and
+// progress to stderr, and returns the exit code (0 ok, 2 usage or setup
+// error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("knl-sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 4, "figure to regenerate: 4, 5 or 9")
+	sched := fs.String("sched", "fill-tiles", "figure 9 schedule: fill-tiles | compact")
+	quick := fs.Bool("quick", false, "reduced effort")
+	csv := fs.Bool("csv", false, "emit CSV")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker-pool size for independent measurement points (1 = serial; results are identical at every setting)")
-	useCache := flag.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
-	cacheDir := flag.String("cache-dir", "results/.memocache", "directory of the result cache")
-	converge := flag.Int("converge", 0,
+	useCache := fs.Bool("cache", false, "memoize measurement results on disk (see -cache-dir)")
+	cacheDir := fs.String("cache-dir", "results/.memocache", "directory of the result cache")
+	converge := fs.Int("converge", 0,
 		"stop deterministic measurement loops after N bit-identical passes and extrapolate (0 = exact; needs -nojitter to fire)")
-	nojitter := flag.Bool("nojitter", false, "disable the simulated timing jitter")
-	nosteps := flag.Bool("nosteps", false, "run protocol walks as goroutine processes instead of stackless step machines (debugging; bit-identical results)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	flag.Parse()
+	nojitter := fs.Bool("nojitter", false, "disable the simulated timing jitter")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *fig != 4 && *fig != 5 && *fig != 9 {
+		return usageError(fs, "-fig must be 4, 5 or 9")
+	}
+	var sc knl.Schedule
+	switch *sched {
+	case "fill-tiles":
+		sc = knl.FillTiles
+	case "compact":
+		sc = knl.Compact
+	default:
+		return usageError(fs, "unknown -sched %q (want fill-tiles or compact)", *sched)
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "knl-sweep:", err)
-		os.Exit(2)
+		fprintln(stderr, "knl-sweep:", err)
+		return 2
 	}
 	defer stopProf()
 
@@ -55,10 +95,15 @@ func main() {
 	o.Parallel = *parallel
 	o.ConvergeAfter = *converge
 	o.NoJitter = *nojitter
-	o.NoSteps = *nosteps
-	mc := openMemo("knl-sweep", *useCache, *cacheDir)
-	o.Memo = mc
-	defer memoReport(mc)
+	if *useCache {
+		mc, err := memo.New(*cacheDir)
+		if err != nil {
+			fprintln(stderr, "knl-sweep:", err)
+			return 2
+		}
+		o.Memo = mc
+		defer func() { fprintln(stderr, "memo:", mc.Stats()) }()
+	}
 
 	var t *report.Table
 	var plot *report.Plot
@@ -67,46 +112,17 @@ func main() {
 		t, plot = figure4(o)
 	case 5:
 		t, plot = figure5(o)
-	case 9:
-		sc := knl.FillTiles
-		if *sched == "compact" {
-			sc = knl.Compact
-		}
-		t, plot = figure9(o, sc)
 	default:
-		fmt.Fprintln(os.Stderr, "knl-sweep: -fig must be 4, 5 or 9")
-		os.Exit(2)
+		t, plot = figure9(o, sc)
 	}
 	if *csv {
-		t.CSV(os.Stdout)
-		return
+		t.CSV(stdout)
+		return 0
 	}
-	t.Write(os.Stdout)
-	if plot != nil {
-		fmt.Println()
-		plot.Write(os.Stdout)
-	}
-}
-
-// openMemo opens the on-disk result cache when enabled; a nil cache
-// disables memoization throughout the measurement layers.
-func openMemo(prog string, enabled bool, dir string) *memo.Cache {
-	if !enabled {
-		return nil
-	}
-	c, err := memo.New(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, prog+":", err)
-		os.Exit(2)
-	}
-	return c
-}
-
-// memoReport prints the cache traffic counters to stderr.
-func memoReport(c *memo.Cache) {
-	if c != nil {
-		fmt.Fprintln(os.Stderr, "memo:", c.Stats())
-	}
+	t.Write(stdout)
+	fprintln(stdout)
+	plot.Write(stdout)
+	return 0
 }
 
 func figure4(o bench.Options) (*report.Table, *report.Plot) {

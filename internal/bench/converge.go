@@ -67,15 +67,9 @@ type opTrace struct {
 	skipWait bool
 }
 
-// install starts observing th's process. The hooks must be removed before
-// the machine is reused (uninstall; Env.Reset and Machine.Reset also
-// clear them).
-func (t *opTrace) install(th *machine.Thread) { t.installProc(th.M, th.P) }
-
-func (t *opTrace) uninstall(th *machine.Thread) { t.uninstallProc(th.M) }
-
-// installProc starts observing process p on m — the spawned-kernel form,
-// used when the measured process is a step kernel rather than a Thread.
+// installProc starts observing process p on m. The hooks must be removed
+// before the machine is reused (uninstallProc; Env.Reset and Machine.Reset
+// also clear them).
 func (t *opTrace) installProc(m *machine.Machine, p *sim.Proc) {
 	t.m = m
 	t.p = p
@@ -172,64 +166,67 @@ func opsEqual(ka []uint8, aa []float64, kb []uint8, ab []float64) bool {
 	return true
 }
 
-// runConverged drives an iteration-style measurement loop: iters timed
-// iterations of body, machine state re-established by setup before each,
-// elapsed nanoseconds reported through record. With k <= 0 it is the exact
-// legacy loop. With k > 0, iterations whose whole op program, elapsed
-// value, and self-check agree k times in a row stop the simulation; the
-// remaining iterations are interpreted from the settled program on a
-// virtual clock, reproducing the exact timings the simulator would have
-// produced.
-func runConverged(th *machine.Thread, k, iters int, setup, body func(), record func(elapsed float64)) {
-	if k <= 0 {
-		for it := 0; it < iters; it++ {
-			setup()
-			start := th.Now()
-			body()
-			record(th.Now() - start)
-		}
-		return
-	}
+// runConverged spawns a kernel at place running an iteration-style
+// measurement loop: iters timed executions of op, machine state
+// re-established by setup before each, elapsed nanoseconds reported
+// through record. With k <= 0 every iteration is simulated. With k > 0,
+// iterations whose whole op program, elapsed value, and self-check agree k
+// times in a row stop the simulation; the remaining iterations are
+// interpreted from the settled program on a virtual clock, reproducing the
+// exact timings the simulator would have produced.
+func runConverged(m *machine.Machine, place knl.Place, k, iters int, setup func(), op machine.KernelOp, record func(elapsed float64)) {
 	var tr opTrace
-	tr.install(th)
-	defer tr.uninstall(th)
 	var prevKinds []uint8
 	var prevArgs []float64
-	var prevElapsed float64
-	prevEnd := th.Now()
-	run := 0
-	for it := 0; it < iters; it++ {
+	var start, prevElapsed float64
+	prevEnd := m.Env.Now()
+	run, it := 0, 0
+	inOp := false
+	proc := m.SpawnKernel(place, func(end float64, _ uint64) (machine.KernelOp, bool) {
+		if inOp {
+			inOp = false
+			it++
+			elapsed := end - start
+			record(elapsed)
+			if k > 0 {
+				// start == prevEnd guards against setup consuming simulated
+				// time, which replay (which skips setup) could not reproduce.
+				ok := start == prevEnd && tr.selfCheck(start, end)
+				switch {
+				case ok && run > 0 && math.Float64bits(elapsed) == math.Float64bits(prevElapsed) &&
+					opsEqual(tr.kinds, tr.args, prevKinds, prevArgs):
+					run++
+				case ok:
+					run = 1
+				default:
+					run = 0
+				}
+				prevKinds = append(prevKinds[:0], tr.kinds...)
+				prevArgs = append(prevArgs[:0], tr.args...)
+				prevElapsed, prevEnd = elapsed, end
+				if run >= k {
+					for vt := end; it < iters; it++ {
+						s := vt
+						vt = interpOps(prevKinds, prevArgs, vt)
+						record(vt - s)
+					}
+				}
+			}
+		}
+		if it >= iters {
+			if k > 0 {
+				tr.uninstallProc(m)
+			}
+			return machine.KernelOp{}, false
+		}
 		setup()
 		tr.reset()
-		start := th.Now()
-		body()
-		end := th.Now()
-		elapsed := end - start
-		record(elapsed)
-		// start == prevEnd guards against setup consuming simulated time,
-		// which replay (which skips setup) could not reproduce.
-		ok := start == prevEnd && tr.selfCheck(start, end)
-		switch {
-		case ok && run > 0 && math.Float64bits(elapsed) == math.Float64bits(prevElapsed) &&
-			opsEqual(tr.kinds, tr.args, prevKinds, prevArgs):
-			run++
-		case ok:
-			run = 1
-		default:
-			run = 0
-		}
-		prevKinds = append(prevKinds[:0], tr.kinds...)
-		prevArgs = append(prevArgs[:0], tr.args...)
-		prevElapsed, prevEnd = elapsed, end
-		if run >= k {
-			vt := end
-			for it++; it < iters; it++ {
-				s := vt
-				vt = interpOps(prevKinds, prevArgs, vt)
-				record(vt - s)
-			}
-			return
-		}
+		start = m.Env.Now()
+		inOp = true
+		return op, true
+	})
+	if k > 0 {
+		tr.installProc(m, proc)
 	}
 }
 

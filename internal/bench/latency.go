@@ -211,28 +211,35 @@ func MeasureMemLatencies(cfg knl.Config, o Options) MemLatencies {
 	}
 	if cfg.Memory == knl.CacheMode {
 		// Working set twice the side cache, randomly visited: the median
-		// reflects the hit/miss mix.
+		// reflects the hit/miss mix. Each access flushes only the L1/L2
+		// copy of its line, keeping the side cache warm.
 		m := o.acquire(cfg)
 		b := m.Alloc.MustAlloc(knl.DDR, 0, 2*cfg.MCDRAMCacheBytes())
-		prime := func() {} // keep the side cache warm; flush only L1/L2
 		rng := stats.NewRNG(o.Seed)
 		nl := b.NumLines()
 		avgs := make([]float64, 0, o.Averages)
-		m.Spawn(knl.Place{}, func(th *machine.Thread) {
-			for a := 0; a < o.Averages; a++ {
-				var total float64
-				for p := 0; p < o.Passes; p++ {
-					prime()
-					start := th.Now()
-					for i := 0; i < o.ChaseLen; i++ {
-						li := rng.Intn(nl)
-						m.FlushLine(b.Line(li))
-						th.Load(b, li)
-					}
-					total += (th.Now() - start) / float64(o.ChaseLen)
+		a, p, i := 0, 0, -1 // i counts the current pass's loads; -1 between passes
+		var start, total float64
+		m.SpawnKernel(knl.Place{}, func(now float64, _ uint64) (machine.KernelOp, bool) {
+			if i == o.ChaseLen {
+				total += (now - start) / float64(o.ChaseLen)
+				i = -1
+				if p++; p == o.Passes {
+					avgs = append(avgs, total/float64(o.Passes))
+					total, p = 0, 0
+					a++
 				}
-				avgs = append(avgs, total/float64(o.Passes))
 			}
+			if i < 0 {
+				if a == o.Averages {
+					return machine.KernelOp{}, false
+				}
+				start, i = now, 0
+			}
+			li := rng.Intn(nl)
+			m.FlushLine(b.Line(li))
+			i++
+			return machine.KernelOp{Kind: machine.KernelLoad, B: b, Li: li}, true
 		})
 		if _, err := m.Run(); err != nil {
 			panic(err)

@@ -151,28 +151,45 @@ func CalibrateTSC(cfg knl.Config, trueSkewNs []float64) SkewCalibration {
 	}
 	est := make([]float64, n)
 	const rounds = 8
-	m.Spawn(places[0], func(th *machine.Thread) {
-		for i := 1; i < n; i++ {
-			var sum float64
-			for r := 1; r <= rounds; r++ {
-				t0 := tsc(0, th.Now())
-				th.StoreWord(flags[i].ping, 0, uint64(r))
-				peerTSC := th.WaitWordGE(flags[i].pong, 0, uint64(r)*1e9)
-				t1 := tsc(0, th.Now())
-				sum += float64(peerTSC-uint64(r)*1e9) - (t0+t1)/2
+	// Master: per peer i and round r, ping, wait for the pong, and fold the
+	// peer's reading against the midpoint of the two local readings.
+	i, r, phase := 1, 1, 0 // phase 1: ping stored; 2: pong observed
+	var t0, sum float64
+	m.SpawnKernel(places[0], func(now float64, peerTSC uint64) (machine.KernelOp, bool) {
+		switch phase {
+		case 1:
+			phase = 2
+			return machine.KernelOp{Kind: machine.KernelWaitWordGE, B: flags[i].pong, Val: uint64(r) * 1e9}, true
+		case 2:
+			t1 := tsc(0, now)
+			sum += float64(peerTSC-uint64(r)*1e9) - (t0+t1)/2
+			if r++; r > rounds {
+				est[i] = sum / rounds
+				i, r, sum = i+1, 1, 0
 			}
-			est[i] = sum / rounds
 		}
+		if i >= n {
+			return machine.KernelOp{}, false
+		}
+		t0, phase = tsc(0, now), 1
+		return machine.KernelOp{Kind: machine.KernelStoreWord, B: flags[i].ping, Val: uint64(r)}, true
 	})
 	for i := 1; i < n; i++ {
 		i := i
-		m.Spawn(places[i], func(th *machine.Thread) {
-			for r := 1; r <= rounds; r++ {
-				th.WaitWordGE(flags[i].ping, 0, uint64(r))
+		r, seen := 1, false
+		m.SpawnKernel(places[i], func(now float64, _ uint64) (machine.KernelOp, bool) {
+			if seen {
 				// Reply with the local TSC reading encoded above a round tag.
-				reading := tsc(i, th.Now())
-				th.StoreWord(flags[i].pong, 0, uint64(r)*1e9+uint64(reading))
+				seen = false
+				reply := uint64(r)*1e9 + uint64(tsc(i, now))
+				r++
+				return machine.KernelOp{Kind: machine.KernelStoreWord, B: flags[i].pong, Val: reply}, true
 			}
+			if r > rounds {
+				return machine.KernelOp{}, false
+			}
+			seen = true
+			return machine.KernelOp{Kind: machine.KernelWaitWordGE, B: flags[i].ping, Val: uint64(r)}, true
 		})
 	}
 	if _, err := m.Run(); err != nil {

@@ -8,21 +8,33 @@ import (
 )
 
 // BenchmarkLoadLineHotPath measures the simulator cost of the per-line
-// protocol walk itself: one thread striding over a 2 MB DDR buffer, so
+// protocol walk itself: one kernel striding over a 2 MB DDR buffer, so
 // nearly every access misses L2 and takes the full directory-to-memory
-// path through the paged line tables. bench_baseline.sh records its ns/op
-// as ns_per_line_access; allocs/op must stay 0 (amortized — building a
-// page on first touch is one-time setup).
+// path through the paged line tables. It runs as a kernel, like every
+// measurement loop, so no coroutine switch is counted.
+// bench_baseline.sh records its ns/op as ns_per_line_access; allocs/op
+// must stay 0 (amortized — building a page on first touch is one-time
+// setup).
 func BenchmarkLoadLineHotPath(b *testing.B) {
+	benchLineKernel(b, KernelLoad)
+}
+
+// benchLineKernel runs b.N ops of kind over a 2 MB DDR buffer at stride 7
+// (coprime to the buffer) on one kernel.
+func benchLineKernel(b *testing.B, kind KernelOpKind) {
 	m := noJitterF(knl.DefaultConfig())
 	const lines = 32768 // 2 MB: far beyond one tile's L2 share
 	buf := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
-	m.Spawn(place(0), func(th *Thread) {
-		for i := 0; i < b.N; i++ {
-			th.Load(buf, (i*7)%lines) // stride 7 is coprime to the buffer
+	i := 0
+	m.SpawnKernel(place(0), func(float64, uint64) (KernelOp, bool) {
+		if i == b.N {
+			return KernelOp{}, false
 		}
+		li := (i * 7) % lines
+		i++
+		return KernelOp{Kind: kind, B: buf, Li: li}, true
 	})
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)
@@ -34,19 +46,7 @@ func BenchmarkLoadLineHotPath(b *testing.B) {
 // 2 MB stride. ci.sh tier-2 gates it at 0 allocs/op alongside the load
 // path, so neither ported walk regrows per-op garbage.
 func BenchmarkStoreLineHotPath(b *testing.B) {
-	m := noJitterF(knl.DefaultConfig())
-	const lines = 32768
-	buf := m.Alloc.MustAlloc(knl.DDR, 0, lines*knl.LineSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.Spawn(place(0), func(th *Thread) {
-		for i := 0; i < b.N; i++ {
-			th.Store(buf, (i*7)%lines)
-		}
-	})
-	if _, err := m.Run(); err != nil {
-		b.Fatal(err)
-	}
+	benchLineKernel(b, KernelStore)
 }
 
 // BenchmarkPrimeFlush measures the zero-time setup path benchmarks lean

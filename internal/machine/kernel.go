@@ -10,11 +10,9 @@ import (
 
 // This file is the unified kernel spawn surface: Machine.SpawnKernel runs a
 // Program — a host callback emitting KernelOps one at a time — pinned to a
-// place. With Machine.Steps set (the default) the kernel runs as a stackless
-// step process: the whole measurement loop advances inline from the
-// scheduler with zero goroutine handoffs. With Steps clear it runs as an
-// ordinary goroutine process dispatching the same ops through the Thread
-// facade, which is what the A/B equivalence tests compare against.
+// place, as a stackless step process: the whole measurement loop advances
+// inline from the scheduler with no coroutine switch at all. Every
+// measurement loop of internal/bench and internal/msort runs this way.
 //
 // The program callback runs at the same simulated instants a Thread closure
 // would compute its next call — the completion instant of the previous op —
@@ -224,50 +222,8 @@ func (m *Machine) SpawnKernel(place knl.Place, prog Program) *sim.Proc {
 	if place.Core < 0 || place.Core >= m.NumCores() {
 		panic(fmt.Sprintf("machine: place core %d out of range", place.Core))
 	}
-	name := place.String()
-	if m.Steps {
-		//lint:ignore hotalloc one frame per spawned measurement kernel (the goroutine version paid a closure and a stack)
-		return m.Env.GoSteps(name, &kernelStep{m: m, core: place.Core, prog: prog})
-	}
-	//lint:ignore hotalloc one Thread facade per spawned goroutine kernel
-	th := &Thread{M: m, Place: place}
-	return m.Env.Go(name, func(p *sim.Proc) {
-		th.P = p
-		var prev uint64
-		for {
-			op, ok := prog(m.Env.Now(), prev)
-			if !ok {
-				return
-			}
-			prev = runKernelOpThread(th, op)
-		}
-	})
-}
-
-// runKernelOpThread dispatches one kernel op through the Thread facade —
-// the goroutine half of kernelStep.Step, over the same step machines.
-func runKernelOpThread(th *Thread, op KernelOp) uint64 {
-	switch op.Kind {
-	case StreamSync:
-		th.WaitUntil(op.At)
-	case KernelLoad:
-		return th.LoadWord(op.B, op.Li)
-	case KernelStore:
-		th.Store(op.B, op.Li)
-	case KernelStoreNT:
-		th.StoreNT(op.B, op.Li)
-	case KernelStoreWord:
-		th.StoreWord(op.B, op.Li, op.Val)
-	case KernelAddWord:
-		return th.AddWord(op.B, op.Li, op.Val)
-	case KernelWaitWordGE:
-		return th.WaitWordGE(op.B, op.Li, op.Val)
-	case KernelCompute:
-		th.Compute(op.Dur)
-	default:
-		th.M.runStreamOp(th.P, th.Place.Core, op)
-	}
-	return 0
+	//lint:ignore hotalloc one frame per spawned measurement kernel
+	return m.Env.GoSteps(place.String(), &kernelStep{m: m, core: place.Core, prog: prog})
 }
 
 // SpawnStreamTask starts a kernel pinned to place that executes the stream

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"knlcap/internal/knl"
@@ -8,49 +9,14 @@ import (
 	"knlcap/internal/stats"
 )
 
-// digestWorkloadMode is digestWorkload with an explicit execution strategy:
-// step processes (the default) or goroutine processes for every spawnable
-// flow (posted write-backs, stream flush helpers, kernels).
-func digestWorkloadMode(t *testing.T, cfg knl.Config, seed uint64, steps bool) (digest, events uint64, end float64) {
-	t.Helper()
-	m := NewWithParams(cfg, DefaultParams())
-	m.Steps = steps
-	return runDigestOps(t, m, seed)
-}
-
-// TestStepGoroutineEquivalence runs the seeded mixed workload on every
-// cluster x memory mode twice — once on the stackless step-process engine
-// and once on the goroutine engine — and asserts bit-identical state
-// digests, event counts, and end times. The two strategies share one event
-// heap, one seq counter, and one RNG stream, so any divergence is a bug in
-// a ported state machine, not scheduling noise.
-func TestStepGoroutineEquivalence(t *testing.T) {
-	for _, mm := range []knl.MemoryMode{knl.Flat, knl.CacheMode, knl.Hybrid} {
-		for _, cfg := range knl.AllConfigs(mm) {
-			dS, eS, tS := digestWorkloadMode(t, cfg, 20260806, true)
-			dG, eG, tG := digestWorkloadMode(t, cfg, 20260806, false)
-			if dS != dG {
-				t.Errorf("%s: step digest %#016x != goroutine digest %#016x", cfg.Name(), dS, dG)
-			}
-			if eS != eG {
-				t.Errorf("%s: step events %d != goroutine events %d", cfg.Name(), eS, eG)
-			}
-			if tS != tG {
-				t.Errorf("%s: step end %v != goroutine end %v", cfg.Name(), tS, tG)
-			}
-		}
-	}
-}
-
 // kernelWorkload drives the spawnable bench kernels — a pointer chase and a
-// stream task with copy/triad ops and a window sync — under the given
-// execution strategy and returns the digest triple plus the measurements
-// the host callbacks observed (pass times, op times). The callbacks run at
-// simulated instants, so they too must be bit-identical across strategies.
-func kernelWorkload(t *testing.T, cfg knl.Config, steps bool) (digest uint64, events uint64, end float64, obs []float64) {
+// stream task with copy/triad ops and a window sync — and returns the
+// digest triple plus the measurements the host callbacks observed (pass
+// times, op times). The callbacks run at simulated instants, so they too
+// are pinned bit for bit.
+func kernelWorkload(t *testing.T, cfg knl.Config) (digest uint64, events uint64, end float64, obs []float64) {
 	t.Helper()
 	m := NewWithParams(cfg, DefaultParams())
-	m.Steps = steps
 
 	chaseBuf := m.Alloc.MustAlloc(knl.DDR, 0, 32*knl.LineSize)
 	var a, b, c [2]memmode.Buffer
@@ -135,7 +101,7 @@ func kernelWorkload(t *testing.T, cfg knl.Config, steps bool) (digest uint64, ev
 	})
 
 	// Flag ping-pong pair: KernelStoreWord/KernelAddWord against
-	// KernelWaitWordGE, exercising the signal-watch juncture in both modes.
+	// KernelWaitWordGE, exercising the signal-watch juncture.
 	flag := m.Alloc.MustAlloc(knl.DDR, 0, knl.LineSize)
 	const rounds = 4
 	pa := 0
@@ -170,32 +136,70 @@ func kernelWorkload(t *testing.T, cfg knl.Config, steps bool) (digest uint64, ev
 	})
 
 	if _, err := m.Run(); err != nil {
-		t.Fatalf("kernel workload (%s, steps=%v): %v", cfg.Name(), steps, err)
+		t.Fatalf("kernel workload (%s): %v", cfg.Name(), err)
 	}
 	return m.StateDigest(), m.Env.Seq(), m.Env.Now(), obs
 }
 
-// TestKernelStepGoroutineEquivalence checks the spawned chase and stream
-// kernels produce identical state and identical host-visible measurements
-// under both execution strategies.
+// kernelGolden pins kernelWorkload per configuration: state digest, event
+// count, end time, and every host-callback observation, as float64 bits.
+// The values were recorded from the goroutine process engine before its
+// deletion, when the A/B test asserted the step engine matched it bit for
+// bit; they hold the step kernels to that engine's output.
+var kernelGolden = map[string]struct {
+	digest, events, end uint64
+	obs                 []uint64
+}{
+	"SNC4-flat": {0x797e606ac0b0b148, 1084, 0x40b445989c24a054, []uint64{ // end 5189.59613255419
+		0x0000000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x4000000000000000,
+		0x40728f54f57d6112, 0x0000000000000000, 0x4075fc2d59777603, 0x406b4d147ae147ac,
+		0x0000000000000000, 0x406692d31c3184fe, 0x0000000000000000, 0x4008000000000000,
+		0x4010000000000000, 0x0000000000000000, 0x4065bc43fcfb1e24, 0x406ab5bc88ae4478,
+		0x4014000000000000, 0x4018000000000000, 0x401c000000000000, 0x4020000000000000,
+		0x40992e0017c2e702, 0x40b25ece4ad0d3e8, 0x406e67501b556c40, 0x406e71fa0f242140,
+	}},
+	"QUAD-cache": {0x8f0a63c6366f3acf, 1529, 0x40b6912a068ad8a6, []uint64{ // end 5777.164162328618
+		0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x3ff0000000000000,
+		0x4071a5b3a69b2a0e, 0x4000000000000000, 0x4071eb5113cb24f9, 0x0000000000000000,
+		0x0000000000000000, 0x405b751eb851eb94, 0x405b9e052c87c278, 0x0000000000000000,
+		0x4008000000000000, 0x406b3978126f4af6, 0x406b6eea445db3fa, 0x4010000000000000,
+		0x4014000000000000, 0x4018000000000000, 0x401c000000000000, 0x4020000000000000,
+		0x40995b80eb71a884, 0x40b4a9aed0283590, 0x406e742b88ad7b00, 0x406e7b3b43a6e7c0,
+	}},
+	"SNC4-hybrid": {0xf03b0f5a6529309b, 1377, 0x40b619c37c4a3ae7, []uint64{ // end 5657.763615264302
+		0x0000000000000000, 0x0000000000000000, 0x3ff0000000000000, 0x0000000000000000,
+		0x4070c4904d4a8a00, 0x40717c26f433b174, 0x4000000000000000, 0x4061861d7dbf4884,
+		0x4062fb954189da14, 0x0000000000000000, 0x0000000000000000, 0x4008000000000000,
+		0x406b61fccf4be164, 0x0000000000000000, 0x406b0a12276f6b48, 0x4010000000000000,
+		0x4014000000000000, 0x4018000000000000, 0x401c000000000000, 0x4020000000000000,
+		0x40996f476579d834, 0x40b43247549e5251, 0x406e760c43fad380, 0x406e7978b1823f40,
+	}},
+}
+
+// TestKernelStepGoroutineEquivalence checks the spawned chase, stream,
+// store-walk and flag kernels reproduce the goroutine engine's recorded
+// state and host-visible measurements (kernelGolden) bit for bit.
 func TestKernelStepGoroutineEquivalence(t *testing.T) {
 	for _, cfg := range []knl.Config{
 		knl.DefaultConfig(),
 		knl.DefaultConfig().WithModes(knl.Quadrant, knl.CacheMode),
 		knl.DefaultConfig().WithModes(knl.SNC4, knl.Hybrid),
 	} {
-		dS, eS, tS, oS := kernelWorkload(t, cfg, true)
-		dG, eG, tG, oG := kernelWorkload(t, cfg, false)
-		if dS != dG || eS != eG || tS != tG {
-			t.Errorf("%s: step (%#016x, %d, %v) != goroutine (%#016x, %d, %v)",
-				cfg.Name(), dS, eS, tS, dG, eG, tG)
+		want, ok := kernelGolden[cfg.Name()]
+		if !ok {
+			t.Fatalf("no golden for %s", cfg.Name())
 		}
-		if len(oS) != len(oG) {
-			t.Fatalf("%s: observation counts differ: %d vs %d", cfg.Name(), len(oS), len(oG))
+		d, e, end, obs := kernelWorkload(t, cfg)
+		if d != want.digest || e != want.events || math.Float64bits(end) != want.end {
+			t.Errorf("%s: (%#016x, %d, %v), want (%#016x, %d, %v)", cfg.Name(),
+				d, e, end, want.digest, want.events, math.Float64frombits(want.end))
 		}
-		for i := range oS {
-			if oS[i] != oG[i] {
-				t.Errorf("%s: observation %d differs: %v vs %v", cfg.Name(), i, oS[i], oG[i])
+		if len(obs) != len(want.obs) {
+			t.Fatalf("%s: %d observations, want %d", cfg.Name(), len(obs), len(want.obs))
+		}
+		for i, o := range obs {
+			if math.Float64bits(o) != want.obs[i] {
+				t.Errorf("%s: observation %d = %v, want %v", cfg.Name(), i, o, math.Float64frombits(want.obs[i]))
 			}
 		}
 	}

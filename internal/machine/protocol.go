@@ -48,6 +48,7 @@ func (m *Machine) loadLine(p *sim.Proc, core int, b memmode.Buffer, l cache.Line
 	c := sim.BlockingCtx(p)
 	for k.pc != ldDone {
 		k.step(&c)
+		c.Drain()
 	}
 	return k.cls
 }
@@ -56,15 +57,10 @@ func (m *Machine) loadLine(p *sim.Proc, core int, b memmode.Buffer, l cache.Line
 // delaying the requesting thread (the data return and the write-back travel
 // independently).
 func (m *Machine) asyncWriteBack(l cache.Line) {
-	if m.Steps {
-		//lint:ignore hotalloc spawning the posted-write-back process is the allocation; only dirty-forward misses take this path (BenchmarkLoadLineHotPath stays at 0 allocs/op)
-		w := &wbStep{m: m}
-		w.wb.start(l)
-		m.Env.GoSteps("wb", w)
-		return
-	}
 	//lint:ignore hotalloc spawning the posted-write-back process is the allocation; only dirty-forward misses take this path (BenchmarkLoadLineHotPath stays at 0 allocs/op)
-	m.Env.Go("wb", func(p *sim.Proc) { m.writeBack(p, l) })
+	w := &wbStep{m: m}
+	w.wb.start(l)
+	m.Env.GoSteps("wb", w)
 }
 
 // downgradeSiblingL1 moves any sibling-core L1 copy to Shared.
@@ -93,6 +89,7 @@ func (m *Machine) storeLine(p *sim.Proc, core int, b memmode.Buffer, l cache.Lin
 	c := sim.BlockingCtx(p)
 	for k.pc != ssDone {
 		k.step(&c)
+		c.Drain()
 	}
 }
 
@@ -106,6 +103,7 @@ func (m *Machine) storeLineNT(p *sim.Proc, core int, b memmode.Buffer, l cache.L
 	c := sim.BlockingCtx(p)
 	for k.pc != ssDone {
 		k.step(&c)
+		c.Drain()
 	}
 }
 

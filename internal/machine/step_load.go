@@ -11,8 +11,8 @@ import (
 // loadStep is the single-line load protocol walk — the hot path of the
 // simulator — as a resumable state machine. It is the single source of
 // truth behind Machine.loadLine (driven inline on a blocking context) and
-// the spawned kernels (kernelStep), replacing the goroutine
-// walk that cost one channel handoff per blocking primitive.
+// the spawned kernels (kernelStep), replacing the old goroutine walk that
+// cost one channel handoff per blocking primitive.
 //
 // Each step call runs one juncture: the state reads/writes between two
 // blocking points of the original goroutine text, followed by that

@@ -13,9 +13,9 @@ import (
 // storeStep is the single-line store protocol walk — the RFO path
 // (init) and the non-temporal streaming variant (initNT) — as a
 // resumable state machine. Like loadStep it is the single source of
-// truth for both execution modes: Machine.storeLine/storeLineNT drive
-// it inline on a blocking context, the spawned kernels (kernelStep)
-// advance it from the scheduler with zero goroutine handoffs.
+// truth for both drivers: Machine.storeLine/storeLineNT drive it inline
+// on a blocking context, the spawned kernels (kernelStep) advance it
+// from the scheduler with no coroutine switch.
 //
 // Juncture boundaries mirror the old goroutine text of storeLine and
 // storeLineNT exactly. The directory-dependent waits force junctures the

@@ -10,16 +10,16 @@ import (
 // This file holds the stream kernels as resumable state machines: the
 // per-line serialized cost (serialStep), the batched channel flush
 // (flushOps and its helper processes), and the chunk loop (streamStep).
-// They are the single source of truth for both execution modes — a
-// goroutine thread drives them inline through a blocking context
-// (Machine.streamRead and friends), a spawned stream task advances them
-// from the scheduler with zero handoffs (streamTaskStep in kernel.go).
+// They are the single source of truth for both ways of driving a stream —
+// a Thread drives them inline through a blocking context
+// (Machine.streamRead and friends), a spawned kernel advances them from the
+// scheduler with zero handoffs (kernelStep in kernel.go).
 //
 // Juncture boundaries follow the old goroutine text exactly: bookkeeping
 // commits before the primitive it precedes, the pending flush observes
 // policy state at the booking instant, and every spawn (posted write-backs,
 // per-channel flush helpers) consumes one seq number in the original
-// order, so the two modes are event-for-event identical.
+// order, so both drivers are event-for-event identical.
 
 // serialStep charges the non-overlappable cost of one pipelined line
 // access — the step form of the old serialRead/serialWrite/serialWriteNT.
@@ -376,22 +376,8 @@ func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 		}
 	}
 	if pd.nAsync != 0 {
-		if m.Steps {
-			//lint:ignore hotalloc one helper frame per flush with async write-backs, the spawn the old goroutine version also paid
-			m.Env.GoSteps("wb", &drainStep{m: m, async: pd.async})
-		} else {
-			async := pd.async
-			//lint:ignore hotalloc one helper process per flush with async write-backs (goroutine A/B mode)
-			m.Env.Go("wb", func(wp *sim.Proc) {
-				for k := range async {
-					for ch := range async[k] {
-						if n := async[k][ch]; n != 0 {
-							m.Mem.Channel(knl.MemKind(k), ch).ServeWrite(wp, int(n))
-						}
-					}
-				}
-			})
-		}
+		//lint:ignore hotalloc one helper frame per flush with async write-backs
+		m.Env.GoSteps("wb", &drainStep{m: m, async: pd.async})
 		pd.async = [2][maxChans]int32{}
 		pd.nAsync = 0
 	}
@@ -415,26 +401,9 @@ func (s *streamStep) flushOps(c *sim.StepCtx) bool {
 		join := s.join
 		join.remaining = nj
 		for ji := 0; ji < nj; ji++ {
-			if m.Steps {
-				w := &join.jobs[ji]
-				*w = memJobStep{m: m, j: jobs[ji], join: join}
-				m.Env.GoSteps("mem", w)
-			} else {
-				j := jobs[ji]
-				//lint:ignore hotalloc one helper process per flushed channel (goroutine A/B mode)
-				m.Env.Go("mem", func(wp *sim.Proc) {
-					ch := m.Mem.Channel(j.kind, j.idx)
-					if j.write {
-						ch.ServeWrite(wp, j.n)
-					} else {
-						ch.ServeRead(wp, j.n)
-					}
-					join.remaining--
-					if join.remaining == 0 {
-						join.done.Broadcast()
-					}
-				})
-			}
+			w := &join.jobs[ji]
+			*w = memJobStep{m: m, j: jobs[ji], join: join}
+			m.Env.GoSteps("mem", w)
 		}
 		c.WaitSignal(join.done)
 		return false
@@ -536,8 +505,8 @@ func (s *streamStep) run(c *sim.StepCtx) {
 	}
 }
 
-// runStreamOp drives one stream op to completion on the goroutine process
-// p — the blocking-mode entry the Thread stream methods use.
+// runStreamOp drives one stream op to completion on the blocking process
+// p — the entry the Thread stream methods use.
 func (m *Machine) runStreamOp(p *sim.Proc, core int, op StreamOp) {
 	var s streamStep
 	s.m = m
@@ -546,5 +515,6 @@ func (m *Machine) runStreamOp(p *sim.Proc, core int, op StreamOp) {
 	c := sim.BlockingCtx(p)
 	for s.pc != stDone {
 		s.run(&c)
+		c.Drain()
 	}
 }

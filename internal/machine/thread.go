@@ -17,10 +17,11 @@ import (
 // (streamStep) — drives the same resumable state machine a spawned kernel
 // advances from the scheduler, just synchronously on a BlockingCtx. There
 // is no second protocol implementation behind this type; it exists so that
-// irregular goroutine code (tests, calibration, one-off setup walks) can
-// call the walks imperatively. Measurement loops should prefer
-// Machine.SpawnKernel, which runs the identical machines without a
-// goroutine handoff per blocking point.
+// irregular code (tests, knl-trace, knl-explain, the examples) can call the
+// walks imperatively. The thread's process is a coroutine (sim.Env.Go),
+// which pays two switches whenever a walk really blocks. Measurement loops
+// use Machine.SpawnKernel instead, which runs the identical machines with
+// no switch at all.
 type Thread struct {
 	M     *Machine
 	Place knl.Place
@@ -37,15 +38,6 @@ func (m *Machine) Spawn(place knl.Place, fn func(t *Thread)) {
 	m.Env.Go(name, func(p *sim.Proc) {
 		fn(&Thread{M: m, Place: place, P: p})
 	})
-}
-
-// SpawnAll pins one thread per entry of places and runs fn with the thread
-// and its rank.
-func (m *Machine) SpawnAll(places []knl.Place, fn func(t *Thread, rank int)) {
-	for r, pl := range places {
-		r, pl := r, pl
-		m.Spawn(pl, func(t *Thread) { fn(t, r) })
-	}
 }
 
 // Run executes the simulation to completion and returns the final time.

@@ -186,6 +186,7 @@ func (c *Channel) DeviceLatencyNs() float64 { return c.params.DeviceLatencyNs }
 func (c *Channel) ServeRead(p *sim.Proc, n int) {
 	x := sim.BlockingCtx(p)
 	c.ServeReadCtx(&x, n)
+	x.Drain()
 }
 
 // ServeReadCtx is ServeRead on a step context: a step process queues the
@@ -206,6 +207,7 @@ func (c *Channel) ServeReadCtx(x *sim.StepCtx, n int) {
 func (c *Channel) ServeWrite(p *sim.Proc, n int) {
 	x := sim.BlockingCtx(p)
 	c.ServeWriteCtx(&x, n)
+	x.Drain()
 }
 
 // ServeWriteCtx is ServeWrite on a step context (see ServeReadCtx).

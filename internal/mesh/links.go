@@ -78,6 +78,7 @@ func ringIndexY(y int) int { return y + 1 }
 func (f *LinkFabric) Occupy(p *sim.Proc, a, b knl.Pos) {
 	x := sim.BlockingCtx(p)
 	f.OccupyCtx(&x, a, b)
+	x.Drain()
 }
 
 // OccupyCtx is Occupy on a step context: a step process queues the ring

@@ -54,7 +54,7 @@ func Simulate(cfg knl.Config, p SimParams) units.Nanos {
 }
 
 // simulate runs the sort on a fresh machine m. It is the seam that lets
-// tests run the same rank programs on either kernel engine (m.Steps).
+// tests inspect the machine after the run.
 func simulate(m *machine.Machine, p SimParams) units.Nanos {
 	threads := effectiveThreads(p.TotalLines*16, p.Threads)
 	places := knl.Pin(p.Schedule, m.NumTiles(), threads)

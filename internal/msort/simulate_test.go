@@ -86,18 +86,14 @@ func goldenConfigs() map[string]knl.Config {
 	return out
 }
 
-// checkGolden simulates every golden row on a fresh machine with the given
-// kernel engine and compares completion time, digest and event count.
-func checkGolden(t *testing.T, steps bool) {
-	t.Helper()
+// TestSimulateGolden simulates every golden row on a fresh machine and
+// compares completion time, digest and event count, and checks that the
+// public entry point agrees with the seam on the small rows.
+func TestSimulateGolden(t *testing.T) {
 	cfgs := goldenConfigs()
 	for _, g := range simGolden {
-		if !steps && g.kind == knl.MCDRAM && g.cfg == "QUAD-cache" {
-			continue // the same run as the DDR row
-		}
 		cfg := cfgs[g.cfg]
 		m := machine.New(cfg)
-		m.Steps = steps
 		got := simulate(m, DefaultSimParams(g.lines, g.threads, g.kind)).Float()
 		if bits := math.Float64bits(got); bits != g.finish {
 			t.Errorf("%s/%v lines=%d threads=%d: finish %v (%#016x), want %v (%#016x)",
@@ -116,13 +112,6 @@ func checkGolden(t *testing.T, steps bool) {
 				g.cfg, g.kind, g.lines, g.threads, ev, g.events)
 		}
 	}
-}
-
-// TestSimulateGolden checks every golden row on the default step engine,
-// and that the public entry point agrees with the seam on the small rows.
-func TestSimulateGolden(t *testing.T) {
-	checkGolden(t, true)
-	cfgs := goldenConfigs()
 	for _, g := range simGolden {
 		if g.lines != 16 {
 			continue
@@ -133,12 +122,4 @@ func TestSimulateGolden(t *testing.T) {
 				g.cfg, g.kind, g.lines, g.threads, bits, g.finish)
 		}
 	}
-}
-
-// TestSimulateEngineEquivalence runs the same rank programs on
-// SpawnKernel's goroutine engine (m.Steps = false). It must reproduce the
-// golden digests, event counts and end times that TestSimulateGolden
-// demands of the step engine, so the two engines are bit-identical.
-func TestSimulateEngineEquivalence(t *testing.T) {
-	checkGolden(t, false)
 }

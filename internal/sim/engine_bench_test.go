@@ -44,12 +44,12 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineGoroutineHandoff is the same workload on goroutine
-// processes: every event costs a channel park/unpark in the direct-handoff
-// scheduler. The gap to BenchmarkEngineEventThroughput is the price of the
-// coroutine mechanism, i.e. what converting a process to a step process
-// saves.
-func BenchmarkEngineGoroutineHandoff(b *testing.B) {
+// BenchmarkEngineCoroutineHandoff is the same workload on blocking
+// processes: every Wait(1) blocks behind another process's event, so each
+// event costs a coroutine round trip (suspend into the scheduler, resume
+// from it). The gap to BenchmarkEngineEventThroughput is the price of the
+// coroutine mechanism, i.e. what writing a process as a Stepper saves.
+func BenchmarkEngineCoroutineHandoff(b *testing.B) {
 	env := NewEnv()
 	const procs = 4
 	for w := 0; w < procs; w++ {
@@ -93,9 +93,9 @@ func BenchmarkStepHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSpawnChurn measures process creation and retirement: each
-// op spawns a short-lived process, exercising the resume-channel free list
-// (without it every spawn allocates a fresh channel).
+// BenchmarkEngineSpawnChurn measures blocking-process creation and
+// retirement: each op spawns a short-lived process, paying one coroutine
+// setup (the step frame itself is recycled).
 func BenchmarkEngineSpawnChurn(b *testing.B) {
 	env := NewEnv()
 	env.Go("spawner", func(p *Proc) {
@@ -112,7 +112,9 @@ func BenchmarkEngineSpawnChurn(b *testing.B) {
 }
 
 // BenchmarkStepSpawnChurn is the step-process counterpart: each op spawns a
-// short-lived step process, exercising the step-frame free list.
+// short-lived step process, exercising the step-frame free list. The
+// spawner is a blocking process, so each op also pays its coroutine
+// round trip.
 func BenchmarkStepSpawnChurn(b *testing.B) {
 	env := NewEnv()
 	env.Go("spawner", func(p *Proc) {

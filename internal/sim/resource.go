@@ -47,9 +47,7 @@ func (r *Resource) Name() string { return r.name }
 // acquireOrPark takes a slot when one is free, or queues p as a FIFO waiter
 // and accounts it as blocked. It reports whether the slot was obtained; on
 // a false return, Release will later transfer the slot and reschedule p.
-// Shared by both process kinds: a goroutine process parks its goroutine
-// afterwards, a step process records the pending op and returns to the
-// scheduler (see step.go).
+// The sopAcquire and sopUse ops of execHead (step.go) call it.
 func (r *Resource) acquireOrPark(p *Proc) bool {
 	r.acquires++
 	if r.inUse < r.capacity && r.QueueLen() == 0 {
@@ -68,11 +66,9 @@ func (r *Resource) acquireOrPark(p *Proc) bool {
 // Acquire obtains one slot, blocking the calling process in FIFO order while
 // the resource is full.
 func (r *Resource) Acquire(p *Proc) {
-	if r.acquireOrPark(p) {
-		return
-	}
-	p.park()
-	// When resumed, the slot has already been transferred by Release.
+	c := BlockingCtx(p)
+	c.Acquire(r)
+	c.Drain()
 }
 
 // TryAcquire obtains a slot without blocking; it reports whether it succeeded.
@@ -115,9 +111,9 @@ func (r *Resource) Release() {
 
 // Use acquires the resource, advances simulated time by d, and releases it.
 func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Wait(d)
-	r.Release()
+	c := BlockingCtx(p)
+	c.Use(r, d)
+	c.Drain()
 }
 
 // InUse returns the number of slots currently held.

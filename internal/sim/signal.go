@@ -24,13 +24,14 @@ func NewSignal(env *Env) *Signal {
 
 // Wait blocks the calling process until the next Broadcast.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.block()
+	c := BlockingCtx(p)
+	c.WaitSignal(s)
+	c.Drain()
 }
 
-// waitStep queues the step process p as a waiter: the step half of Wait.
-// The caller (StepCtx.WaitSignal) marks its frame parked; Broadcast wakes
-// both kinds identically through unblock.
+// waitStep queues p as a waiter and accounts it as blocked. The caller
+// (StepCtx.WaitSignal) marks its frame parked; Broadcast wakes it through
+// unblock.
 func (s *Signal) waitStep(p *Proc) {
 	s.waiters = append(s.waiters, p)
 	p.env.blocked++

@@ -1,21 +1,24 @@
 // Package sim is a small deterministic discrete-event simulation engine.
 //
-// Simulated threads of execution are modeled as processes: ordinary Go
-// functions running on goroutines, of which exactly one executes at any
-// moment. A process advances simulated time with Wait, serializes on shared
-// hardware structures with Resource, and blocks on state changes with Signal.
-// Events that fire at the same timestamp are executed in FIFO scheduling
-// order, so runs are exactly reproducible.
+// Simulated threads of execution are modeled as processes, of which exactly
+// one executes at any moment. A process advances simulated time with Wait,
+// serializes on shared hardware structures with Resource, and blocks on
+// state changes with Signal. Events that fire at the same timestamp are
+// executed in FIFO scheduling order, so runs are exactly reproducible.
 //
-// Scheduling is a direct handoff: the process ceding control pops the next
-// event itself and resumes its process over that process's private channel,
-// so a step costs one channel transfer instead of the classic two (worker
-// to scheduler, scheduler to next worker) — and when the next event belongs
-// to the ceding process itself, the step costs no channel operation at all.
+// There is one process kind, the stackless step process (step.go): a
+// resumable state machine the scheduler advances inline from the event
+// loop. A process written as an ordinary blocking function (Env.Go) is a
+// step process too, whose Stepper resumes an iter.Pull coroutine running
+// the function (coroutine.go). Its blocking primitives queue the same
+// micro-op a step process would and execute it on the spot (StepCtx.Drain);
+// the coroutine suspends back into the scheduler only when the op really
+// blocks, so a wait that elapses inline costs no switch at all.
+//
 // The event queue is a concrete 4-ary heap over a slice of event values plus
 // a FIFO lane for events scheduled at the current instant, which make up
 // nearly half of a streaming run's events: they skip the heap entirely and
-// pop in scheduling order with no comparisons. Resume channels are recycled
+// pop in scheduling order with no comparisons. Step frames are recycled
 // through a free list, so the steady-state per-event path performs no
 // allocation.
 //
@@ -148,10 +151,6 @@ type Env struct {
 	seq uint64
 	//knl:nostate drained at every digest/Reset point (Reset panics otherwise)
 	events eventQueue
-	//knl:nostate scheduler wake channel: mechanism, not simulated state
-	driver chan struct{} // wakes Run when the event queue drains
-	//knl:nostate recycled resume channels, deliberately invisible to any digest
-	free []chan struct{} // recycled resume channels of retired processes
 	//knl:nostate recycled step-process frames, deliberately invisible to any digest
 	freeStep []*StepProc // recycled frames of retired step processes (see step.go)
 	//knl:nostate zero at every quiescent digest/Reset point
@@ -171,9 +170,7 @@ type Env struct {
 }
 
 // NewEnv returns an empty simulation at time 0.
-func NewEnv() *Env {
-	return &Env{driver: make(chan struct{})}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current simulated time.
 func (e *Env) Now() Time { return e.now }
@@ -194,16 +191,13 @@ func (e *Env) Blocked() int { return e.blocked }
 // Proc is a simulated process. All Proc methods must be called from within
 // the process's own function.
 //
-// A Proc is either a goroutine process (spawned by Go/GoAt, resumed over
-// its private channel) or the identity of a step process (spawned by
-// GoSteps, advanced inline by the scheduler; see step.go). Waiter queues,
-// events, and hooks hold *Proc for both kinds; the sp backlink tells the
-// scheduler which resumption mechanism to use.
+// Every Proc is the identity of a step process: the Proc embedded in its
+// StepProc frame (see step.go). Waiter queues, events, and hooks hold *Proc;
+// the sp backlink leads the scheduler to the frame it advances.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	sp     *StepProc // non-nil for step processes
+	env  *Env
+	name string
+	sp   *StepProc
 }
 
 // Name returns the process name given at spawn time.
@@ -216,47 +210,6 @@ func (p *Proc) Env() *Env { return p.env }
 // It may be called before Run or from within a running process.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return e.GoAt(e.now, name, fn)
-}
-
-// GoAt spawns fn as a new process whose first instruction executes at time
-// at (which must be >= Now).
-func (e *Env) GoAt(at Time, name string, fn func(p *Proc)) *Proc {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: GoAt(%v) in the past (now %v)", at, e.now))
-	}
-	//lint:ignore hotalloc one Proc per spawned process; the steady-state per-event path (Wait/yield/cede) allocates nothing
-	p := &Proc{env: e, name: name, resume: e.newResume()}
-	e.live++
-	//lint:ignore determinism,hotalloc this goroutine and its closure ARE the process mechanism; direct handoff runs exactly one at a time, and the closure allocates once per spawn, never per event
-	go func() {
-		<-p.resume
-		fn(p)
-		e.live--
-		e.retire(p)
-	}()
-	e.schedule(p, at)
-	return p
-}
-
-// newResume takes a resume channel from the free list, or allocates one
-// when the list is empty.
-func (e *Env) newResume() chan struct{} {
-	if n := len(e.free); n > 0 {
-		ch := e.free[n-1]
-		e.free = e.free[:n-1]
-		return ch
-	}
-	//lint:ignore hotalloc cold fallback: the free list recycles channels, so steady state never reaches this make
-	return make(chan struct{})
-}
-
-// retire recycles the finished process's resume channel and hands control
-// to the next event (or back to Run). Runs as the process's final act, so
-// the channel is empty and no other goroutine can touch it again.
-func (e *Env) retire(p *Proc) {
-	e.free = append(e.free, p.resume)
-	p.resume = nil
-	e.cede(nil)
 }
 
 // schedule queues a resumption of p at time at: on the same-instant lane
@@ -278,7 +231,7 @@ func (e *Env) schedule(p *Proc, at Time) {
 // still happens, so Seq-based digests are bit-identical with the slow path.
 // Reports false when a queued event is due first — any lane event is (it is
 // at the current instant with an earlier seq) — and the caller then
-// schedules and yields as usual.
+// schedules the event as usual.
 //
 //knl:hotpath the fused wait of the protocol walks; BenchmarkLoadLineHotPath pins 0 allocs/op
 func (e *Env) waitFast(at Time) bool {
@@ -290,93 +243,22 @@ func (e *Env) waitFast(at Time) bool {
 	return true
 }
 
-// cede pops events, advances the clock, and transfers control: step-process
-// events are advanced inline (no channel operation, no goroutine switch)
-// and the loop continues; a goroutine event is resumed over its channel;
-// an empty queue wakes the driver (Run) instead. When the next event
-// belongs to self, cede reports true and the caller simply keeps running —
-// no channel operation at all.
-func (e *Env) cede(self *Proc) bool {
-	for {
-		if e.events.len() == 0 {
-			e.driver <- struct{}{}
-			return false
-		}
-		ev := e.events.next(e.now)
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		if ev.proc == self {
-			return true
-		}
-		if sp := ev.proc.sp; sp != nil {
-			e.advance(sp)
-			continue
-		}
-		ev.proc.resume <- struct{}{}
-		return false
-	}
-}
-
-// yield transfers control from the running process to the next event and
-// blocks until the process is resumed by its own next event.
-func (p *Proc) yield() {
-	if p.env.cede(p) {
-		return // we are the next event: keep running
-	}
-	<-p.resume
-}
-
 // Wait advances the process by d nanoseconds of simulated time.
 // Negative d panics. Wait(0) yields to other processes scheduled at the
 // same instant that were enqueued earlier.
 //
-//knl:hotpath the event-engine inner loop; BenchmarkEngineEventThroughput pins 0 allocs/op
+//knl:hotpath a blocking process's wait, over the step-op executor every process runs; BenchmarkEngineCoroutineHandoff pins 0 allocs/op
 func (p *Proc) Wait(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: Wait(%v) negative", d))
-	}
-	if p.env.OnWait != nil {
-		p.env.OnWait(p, d)
-	}
-	if p.env.waitFast(p.env.now + d) {
-		return
-	}
-	p.env.schedule(p, p.env.now+d)
-	p.yield()
+	c := BlockingCtx(p)
+	c.Wait(d)
+	c.Drain()
 }
 
 // WaitUntil advances the process to absolute time t (>= Now).
 func (p *Proc) WaitUntil(t Time) {
-	if t < p.env.now {
-		panic(fmt.Sprintf("sim: WaitUntil(%v) in the past (now %v)", t, p.env.now))
-	}
-	if p.env.waitFast(t) {
-		return
-	}
-	p.env.schedule(p, t)
-	p.yield()
-}
-
-// park suspends the goroutine process with no scheduled event; the caller
-// must already have queued p somewhere (a Resource or Signal waiter list)
-// and accounted it as blocked. The cede loop can advance step processes
-// inline, and one of those can release the very slot p is queued on —
-// scheduling p's wake-up while p is still inside its own cede. Passing p as
-// self catches that event instead of deadlocking on a self-handoff.
-func (p *Proc) park() {
-	if p.env.cede(p) {
-		return // our wake-up was reached during the cede loop: keep running
-	}
-	<-p.resume
-}
-
-// block parks the process with no scheduled event; something else must call
-// env.schedule(p, ...) to resume it. Used by Resource and Signal.
-func (p *Proc) block() {
-	p.env.blocked++
-	p.park()
+	c := BlockingCtx(p)
+	c.WaitUntil(t)
+	c.Drain()
 }
 
 // unblock schedules a blocked process to resume at the current time.
@@ -385,30 +267,20 @@ func (e *Env) unblock(p *Proc) {
 	e.schedule(p, e.now)
 }
 
-// Run hands control into the process web and returns when the event queue
+// Run advances processes event by event and returns when the event queue
 // drains, with the final simulated time. If processes remain blocked on
 // Signals or Resources at that point, Run returns ErrDeadlock (the usual
 // cause is a collective algorithm bug: a flag that is polled but never
-// set).
+// set). A panic inside a process body surfaces from Run, on the caller's
+// goroutine.
 func (e *Env) Run() (Time, error) {
-	// Run pops events itself rather than delegating to cede: when every
-	// live process is a step process, the queue can drain without any
-	// goroutine ever running, and a cede-based Run would then send to its
-	// own driver channel. Step events are advanced inline; a goroutine
-	// event hands control into the process web, which returns it through
-	// the driver channel once the queue is empty.
 	for e.events.len() > 0 {
 		ev := e.events.next(e.now)
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
-		if sp := ev.proc.sp; sp != nil {
-			e.advance(sp)
-			continue
-		}
-		ev.proc.resume <- struct{}{}
-		<-e.driver
+		e.advance(ev.proc.sp)
 	}
 	if e.blocked > 0 {
 		return e.now, fmt.Errorf("sim: deadlock: %w (%d blocked, %d live)",
@@ -418,11 +290,10 @@ func (e *Env) Run() (Time, error) {
 }
 
 // Reset returns a drained environment to time zero for reuse by a pooled
-// machine: the clock and event counter restart, while the resume-channel
-// free list (invisible to any digest) is kept. Recycled step frames are
-// dropped instead: the quiescence check already proves no step process is
-// queued or running, so the next run starts with an empty step pool rather
-// than frames sized by the previous workload. Reset panics if events
+// machine: the clock and event counter restart, and recycled step frames
+// are dropped: the quiescence check already proves no process is queued or
+// running, so the next run starts with an empty step pool rather than
+// frames sized by the previous workload. Reset panics if events
 // are still queued or processes are live or blocked — it may only run
 // between completed Runs.
 func (e *Env) Reset() {

@@ -2,28 +2,27 @@ package sim
 
 import "fmt"
 
-// This file adds a second process kind to the engine: the stackless step
-// process. A goroutine Proc costs one channel transfer per event (the
-// direct-handoff park/unpark); a StepProc is a resumable state machine the
-// scheduler invokes inline — zero channel operations, zero goroutine
-// scheduling. Both kinds share the event heap, the seq ordering, the
-// Resource/Signal wait queues, and the OnWait hook, so converting a process
-// from one kind to the other must not move a single event.
+// This file holds the engine's one process kind: the stackless step
+// process, a resumable state machine the scheduler invokes inline from the
+// event loop — zero channel operations, zero goroutine scheduling.
 //
 // A step process describes each blocking primitive (Wait, Use, Acquire,
 // Signal.Wait) as a micro-op pushed onto a small per-process queue instead
-// of executing it on a goroutine stack. The scheduler executes queued ops
-// exactly as the goroutine primitives would — same hook firings, same
-// schedule calls, same waiter-queue entries — and calls Step again when the
-// queue drains. Step therefore advances from one blocking point (a
+// of executing it on a stack. The scheduler executes queued ops — hook
+// firings, schedule calls, waiter-queue entries — and calls Step again when
+// the queue drains. Step therefore advances from one blocking point (a
 // "juncture") to the next; all state between junctures lives in the Stepper
 // value, not on a stack.
 //
-// The StepCtx passed to Step doubles as a blocking executor: with no step
-// process attached, its methods run the goroutine primitives immediately.
-// One state machine can therefore serve both as a spawned step process and
-// as the body of an ordinary goroutine process (see RunSteps), which is how
-// the machine layer keeps a single source of truth per protocol walk.
+// A blocking process (Env.Go) is a step process whose Stepper resumes a
+// coroutine (coroutine.go). Its primitives — Proc.Wait, Resource.Use,
+// Signal.Wait, and the StepCtx methods on a BlockingCtx — push the same
+// micro-ops, which Drain then executes inline on the coroutine; it
+// suspends only when an op blocks, and the scheduler completes the op
+// before resuming it. One state machine can therefore serve both as a
+// spawned step process and as the body of a blocking process (see
+// RunSteps), which is how the machine layer keeps a single source of truth
+// per protocol walk.
 
 // Stepper is the body of a step process. Step is called with the op queue
 // empty and advances the machine to its next blocking point by pushing ops
@@ -36,7 +35,7 @@ type Stepper interface {
 // Jitterer draws a deterministic timing perturbation for a base duration.
 // The machine layer implements it with its seeded RNG. Ops queued with a
 // Jitterer (WaitJit, UseJit, WaitPlusJit) resolve the draw when the op is
-// *entered* by the scheduler, not when it is pushed: a goroutine process
+// *entered* by the scheduler, not when it is pushed: a blocking process
 // evaluates `p.Wait(m.jitter(d))` at the instant the wait begins, so a step
 // process queuing several jittered ops in one Step call must defer each
 // draw to the same instant to consume the shared RNG stream in the same
@@ -83,35 +82,47 @@ type StepProc struct {
 	opLen  int
 	parked bool // waiting on a Signal (no queued event, no pending op)
 	ended  bool // End called: retire once the op queue drains
+	// yield suspends the coroutine of a blocking process (nil for a plain
+	// stepper); inflight marks that it suspended in Drain, with its head
+	// op already entered, so advance must return rather than execute that
+	// op again.
+	yield    func(struct{}) bool
+	inflight bool
 }
 
-// StepCtx is the execution context handed to Stepper.Step. When sp is set,
-// primitives queue micro-ops for the scheduler; when sp is nil (a
-// BlockingCtx), they run the goroutine primitives immediately, so the same
-// Stepper code drives both process kinds.
+// StepCtx is the execution context handed to Stepper.Step. Its primitives
+// queue micro-ops: on a spawned step process the scheduler executes them,
+// on a BlockingCtx the blocking process does (Drain), so the same Stepper
+// code drives both.
 type StepCtx struct {
-	p    *Proc
-	sp   *StepProc
-	done bool // blocking-mode End marker (step mode uses sp.ended)
+	p        *Proc
+	sp       *StepProc
+	blocking bool
+	done     bool // blocking-mode End marker (step mode uses sp.ended)
 }
 
-// BlockingCtx returns a context that executes step primitives immediately
-// on the goroutine process p. It lets a goroutine process run a Stepper
-// state machine inline (see RunSteps).
-func BlockingCtx(p *Proc) StepCtx { return StepCtx{p: p} }
+// BlockingCtx returns a context for the blocking process p, from within
+// p's own function. It lets a blocking process run a Stepper state machine
+// inline: call Drain after every Step (see RunSteps).
+func BlockingCtx(p *Proc) StepCtx {
+	if p.sp.yield == nil {
+		panic("sim: blocking primitive on step process " + p.name)
+	}
+	return StepCtx{p: p, sp: p.sp, blocking: true}
+}
 
-// RunSteps drives s to completion on the goroutine process p: every
-// primitive blocks inline, and the loop exits when s calls End.
+// RunSteps drives s to completion on the blocking process p, draining the
+// ops of every juncture; the loop exits when s calls End.
 func RunSteps(p *Proc, s Stepper) {
 	c := BlockingCtx(p)
 	for !c.done {
 		s.Step(&c)
+		c.Drain()
 	}
 }
 
-// Proc returns the process identity: the spawned step process's embedded
-// Proc, or the goroutine process of a BlockingCtx. It is valid as a waiter
-// or hook argument anywhere a goroutine *Proc is.
+// Proc returns the process identity. It is valid as a waiter or hook
+// argument anywhere.
 func (c *StepCtx) Proc() *Proc { return c.p }
 
 // Env returns the environment the process runs in.
@@ -123,20 +134,19 @@ func (c *StepCtx) Now() Time { return c.p.env.now }
 // Blocked reports whether queued ops or a Signal park are pending, i.e.
 // whether simulated time may pass before the next Step call. Sub-machines
 // are driven as `sub.Step(c); if c.Blocked() { return }` so the parent only
-// advances once the sub-machine's primitives have drained. In blocking mode
-// primitives complete inline, so Blocked is always false.
+// advances once the sub-machine's primitives have drained.
 func (c *StepCtx) Blocked() bool {
-	return c.sp != nil && (c.sp.opLen > 0 || c.sp.parked)
+	return c.sp.opLen > 0 || c.sp.parked
 }
 
 // End marks the process finished. In step mode the process retires once the
 // already-queued ops drain; in blocking mode it stops RunSteps.
 func (c *StepCtx) End() {
-	if c.sp != nil {
-		c.sp.ended = true
+	if c.blocking {
+		c.done = true
 		return
 	}
-	c.done = true
+	c.sp.ended = true
 }
 
 func (c *StepCtx) push(op stepOp) {
@@ -153,20 +163,12 @@ func (c *StepCtx) Wait(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Wait(%v) negative", d))
 	}
-	if c.sp == nil {
-		c.p.Wait(d)
-		return
-	}
 	c.push(stepOp{kind: sopWait, d: d})
 }
 
 // WaitJit waits j.Jitter(base), drawing the jitter when the wait begins —
 // the step-mode equivalent of `p.Wait(m.jitter(base))`.
 func (c *StepCtx) WaitJit(j Jitterer, base Time) {
-	if c.sp == nil {
-		c.p.Wait(j.Jitter(base))
-		return
-	}
 	c.push(stepOp{kind: sopWait, jd: base, jit: j})
 }
 
@@ -174,29 +176,17 @@ func (c *StepCtx) WaitJit(j Jitterer, base Time) {
 // jitter is drawn when the wait begins — the step-mode equivalent of
 // `p.Wait(tail + m.jitter(base))`.
 func (c *StepCtx) WaitPlusJit(d Time, j Jitterer, jd Time) {
-	if c.sp == nil {
-		c.p.Wait(d + j.Jitter(jd))
-		return
-	}
 	c.push(stepOp{kind: sopWait, d: d, jd: jd, jit: j})
 }
 
 // UseJit uses r for j.Jitter(base), drawing the jitter when the acquire
 // begins — the step-mode equivalent of `r.Use(p, m.jitter(base))`.
 func (c *StepCtx) UseJit(r *Resource, j Jitterer, base Time) {
-	if c.sp == nil {
-		r.Use(c.p, j.Jitter(base))
-		return
-	}
 	c.push(stepOp{kind: sopUse, r: r, jd: base, jit: j})
 }
 
 // WaitUntil advances the process to absolute time t, like Proc.WaitUntil.
 func (c *StepCtx) WaitUntil(t Time) {
-	if c.sp == nil {
-		c.p.WaitUntil(t)
-		return
-	}
 	c.push(stepOp{kind: sopWaitUntil, d: t})
 }
 
@@ -204,10 +194,6 @@ func (c *StepCtx) WaitUntil(t Time) {
 func (c *StepCtx) Use(r *Resource, d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Wait(%v) negative", d))
-	}
-	if c.sp == nil {
-		r.Use(c.p, d)
-		return
 	}
 	c.push(stepOp{kind: sopUse, r: r, d: d})
 }
@@ -217,21 +203,13 @@ func (c *StepCtx) Use(r *Resource, d Time) {
 // directly at a juncture where the slot is held (i.e. before pushing the
 // ops of that juncture, so the release lands at the correct instant).
 func (c *StepCtx) Acquire(r *Resource) {
-	if c.sp == nil {
-		r.Acquire(c.p)
-		return
-	}
 	c.push(stepOp{kind: sopAcquire, r: r})
 }
 
-// WaitSignal blocks until the next Broadcast of s, like Signal.Wait. In
-// step mode it must be the juncture's only primitive (the process becomes a
-// waiter immediately, which cannot be sequenced after queued ops).
+// WaitSignal blocks until the next Broadcast of s, like Signal.Wait. It
+// must be the juncture's only primitive (the process becomes a waiter
+// immediately, which cannot be sequenced after queued ops).
 func (c *StepCtx) WaitSignal(s *Signal) {
-	if c.sp == nil {
-		s.Wait(c.p)
-		return
-	}
 	if c.sp.opLen != 0 {
 		panic("sim: WaitSignal after queued step ops")
 	}
@@ -239,9 +217,26 @@ func (c *StepCtx) WaitSignal(s *Signal) {
 	c.sp.parked = true
 }
 
+// Drain executes the ops queued on a BlockingCtx, in order, on the
+// blocking process's coroutine. Each op runs inline (a fused wait costs no
+// switch); only when one blocks — an event scheduled, a waiter queued, a
+// Signal park — does the coroutine suspend into the scheduler, which
+// completes that op and any queued behind it before resuming. It is the
+// one point where a blocking process gives up control, and it returns with
+// the queue empty.
+func (c *StepCtx) Drain() {
+	sp := c.sp
+	for sp.parked || sp.opLen > 0 {
+		if !sp.parked && sp.execHead() {
+			continue
+		}
+		sp.inflight = true
+		sp.yield(struct{}{})
+	}
+}
+
 // GoSteps spawns s as a step process starting at the current simulated
-// time. The process identity it returns behaves like any goroutine Proc for
-// waiter queues and hooks, but is advanced inline by the scheduler.
+// time. The process identity it returns serves waiter queues and hooks.
 func (e *Env) GoSteps(name string, s Stepper) *Proc {
 	return e.GoStepsAt(e.now, name, s)
 }
@@ -262,9 +257,7 @@ func (e *Env) GoStepsAt(at Time, name string, s Stepper) *Proc {
 }
 
 // newStep takes a recycled step frame from the free list, or allocates one
-// when the list is empty. The step free list is separate from the
-// resume-channel free list: a retired step process never owned a resume
-// channel and must not feed one back into that pool.
+// when the list is empty.
 func (e *Env) newStep() *StepProc {
 	if n := len(e.freeStep); n > 0 {
 		sp := e.freeStep[n-1]
@@ -287,8 +280,7 @@ func (e *Env) retireStep(sp *StepProc) {
 // advance runs a step process from a fired event (or waiter wake-up): it
 // executes queued ops until one blocks, and calls Step for the next
 // juncture whenever the queue drains, until the process blocks again or
-// ends. It is the step-process half of the scheduler, called inline from
-// cede and Run where a goroutine process would be resumed over its channel.
+// ends. Run calls it for every event.
 func (e *Env) advance(sp *StepProc) {
 	sp.parked = false
 	for {
@@ -302,7 +294,11 @@ func (e *Env) advance(sp *StepProc) {
 			return
 		}
 		sp.fn.Step(&sp.ctx)
-		if sp.parked {
+		if sp.parked || sp.inflight {
+			// A coroutine that suspended in Drain has already entered its
+			// head op: executing it again would complete a scheduled Wait
+			// early.
+			sp.inflight = false
 			return
 		}
 		if sp.opLen == 0 && !sp.ended {
@@ -311,17 +307,16 @@ func (e *Env) advance(sp *StepProc) {
 	}
 }
 
-// execHead executes the head op, mirroring the goroutine primitive exactly
-// (hook firings, schedule calls, waiter-queue entries, slot transfers). It
-// reports whether the op completed; false means the process is now waiting
+// execHead executes the head op (hook firings, schedule calls, waiter-queue
+// entries, slot transfers). It reports whether the op completed; false means the process is now waiting
 // for an event or a Release/Broadcast wake-up, and the next advance call
 // resumes at the recorded phase.
 func (sp *StepProc) execHead() bool {
 	op := &sp.ops[sp.opHead]
 	p := &sp.proc
 	e := p.env
-	// Deferred jitter resolves at op entry — the instant a goroutine would
-	// evaluate the primitive's duration argument — and exactly once (a Use
+	// Deferred jitter resolves at op entry — the instant a blocking process
+	// evaluates the primitive's duration argument — and exactly once (a Use
 	// that parks at its acquire must not redraw on resume).
 	if op.jit != nil {
 		op.d += op.jit.Jitter(op.jd)

@@ -6,7 +6,7 @@ import (
 )
 
 // scriptOp is one primitive of a scripted process body, used to run the
-// identical workload as goroutine and as step processes.
+// identical workload as blocking and as step processes.
 type scriptOp struct {
 	kind byte // 'w' Wait, 'u' Use, 'a' Acquire+Wait (Release next juncture), 's' Signal wait, 'b' Broadcast
 	d    Time
@@ -15,7 +15,7 @@ type scriptOp struct {
 }
 
 // scriptStep executes a scriptOp sequence one juncture at a time. The same
-// Step method drives a spawned step process and (via RunSteps) a goroutine
+// Step method drives a spawned step process and (via RunSteps) a blocking
 // process, so any engine asymmetry between the kinds shows up as a log
 // difference.
 type scriptStep struct {
@@ -58,7 +58,7 @@ func (s *scriptStep) Step(c *StepCtx) {
 
 // runScripted runs a fixed contended workload — three processes sharing a
 // capacity-1 resource and a signal — spawning each process as a step or
-// goroutine process according to kinds. It returns the per-juncture log
+// blocking process according to kinds. It returns the per-juncture log
 // (name@time/seq at every juncture start) plus the final seq and end time.
 func runScripted(t *testing.T, kinds [3]bool) ([]string, uint64, Time) {
 	t.Helper()
@@ -93,8 +93,10 @@ func runScripted(t *testing.T, kinds [3]bool) ([]string, uint64, Time) {
 // TestStepGoroutineScriptEquivalence runs the same contended workload in
 // every process-kind combination and asserts the juncture-by-juncture
 // timeline — time and event sequence number at every blocking point — is
-// identical. This is the engine-level half of the step-vs-goroutine
-// equivalence contract (the machine layer pins the full StateDigest).
+// identical: a blocking process entering each op on its coroutine and a
+// step process queuing it for the scheduler must move the same events.
+// (The name predates blocking processes becoming coroutines; the machine
+// layer pins the full StateDigest.)
 func TestStepGoroutineScriptEquivalence(t *testing.T) {
 	refLog, refSeq, refEnd := runScripted(t, [3]bool{false, false, false})
 	for _, kinds := range [][3]bool{
@@ -166,7 +168,7 @@ type stepFunc func(c *StepCtx)
 
 func (f stepFunc) Step(c *StepCtx) { f(c) }
 
-// TestStepResourceFIFOWithGoroutines interleaves step and goroutine
+// TestStepResourceFIFOWithGoroutines interleaves step and blocking
 // processes on one capacity-1 resource and asserts strict FIFO service in
 // arrival order across kinds.
 func TestStepResourceFIFOWithGoroutines(t *testing.T) {
@@ -287,10 +289,10 @@ func TestSignalWakeAfterWaiterRetired(t *testing.T) {
 	}
 }
 
-// TestSignalMixedKindWaiters parks step and goroutine waiters on one Signal
+// TestSignalMixedKindWaiters parks step and blocking waiters on one Signal
 // in interleaved arrival order and asserts a single Broadcast wakes all of
 // them at the same instant, in arrival order. ci.sh runs this package under
-// -race, which doubles as the mixed-kind data-race check of the satellite.
+// -race, which doubles as the data-race check of the coroutine switches.
 func TestSignalMixedKindWaiters(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
@@ -336,10 +338,8 @@ func TestSignalMixedKindWaiters(t *testing.T) {
 }
 
 // TestStepRetireKeepsFreeListsSeparate is the Reset/free-list regression
-// test: retired step processes must never push anything into the
-// resume-channel free list (a step process has no resume channel — a nil
-// channel there would deadlock the next goroutine spawn), and Env.Reset
-// must drop the recycled step frames while keeping the resume channels.
+// test: every retired process — blocking or stepper — returns its frame to
+// the step free list, and Env.Reset drops the recycled frames.
 func TestStepRetireKeepsFreeListsSeparate(t *testing.T) {
 	env := NewEnv()
 	for i := 0; i < 2; i++ {
@@ -351,24 +351,18 @@ func TestStepRetireKeepsFreeListsSeparate(t *testing.T) {
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(env.free) != 2 {
-		t.Errorf("resume free list has %d channels, want 2 (one per goroutine process)", len(env.free))
+	if len(env.freeStep) != 5 {
+		t.Errorf("step free list has %d frames, want 5", len(env.freeStep))
 	}
-	for i, ch := range env.free {
-		if ch == nil {
-			t.Errorf("free[%d] is nil: a step process leaked into the resume-channel free list", i)
+	for i, sp := range env.freeStep {
+		if sp.yield != nil || sp.fn != nil {
+			t.Errorf("freeStep[%d] still references its retired process", i)
 		}
-	}
-	if len(env.freeStep) != 3 {
-		t.Errorf("step free list has %d frames, want 3", len(env.freeStep))
 	}
 
 	env.Reset()
 	if env.freeStep != nil {
 		t.Errorf("Reset kept %d step frames, want none", len(env.freeStep))
-	}
-	if len(env.free) != 2 {
-		t.Errorf("Reset changed the resume-channel free list to %d entries, want 2", len(env.free))
 	}
 
 	// The recycled environment must still run both process kinds.
@@ -408,7 +402,7 @@ func TestStepFrameRecycled(t *testing.T) {
 }
 
 // TestStepDeadlockDetection: a step process stuck on a Signal must be
-// reported by Run exactly like a goroutine process.
+// reported by Run exactly like a blocking process.
 func TestStepDeadlockDetection(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
@@ -508,5 +502,61 @@ func TestStepSpawnFromGoroutineAndBack(t *testing.T) {
 		if finish[i] != w {
 			t.Errorf("finish[%d] = %v, want %v", i, finish[i], w)
 		}
+	}
+}
+
+// TestGoPanicSurfacesFromRun: a panic inside a blocking process body
+// propagates out of its coroutine into Env.Run, on the caller's goroutine,
+// where it can be recovered (a panic on another goroutine could not be).
+func TestGoPanicSurfacesFromRun(t *testing.T) {
+	env := NewEnv()
+	env.GoSteps("bystander", &waitLoop{n: 3})
+	env.Go("bad", func(p *Proc) {
+		p.Wait(2)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, _ = env.Run()
+	}()
+	if got != "boom" {
+		t.Errorf("recovered %v from Run, want boom", got)
+	}
+	if env.Now() != 2 {
+		t.Errorf("panicked at %v, want 2", env.Now())
+	}
+}
+
+// TestBlockedWaitNotReentered is the regression test for re-entering a
+// coroutine's in-flight op: a blocking Wait(5) cannot fuse past the step
+// process's event at t=1, so it schedules and suspends. The scheduler must
+// then return rather than execute the already-entered op again, which
+// would complete the wait at t=0 and leave a stale event at t=5 for a
+// retired frame.
+func TestBlockedWaitNotReentered(t *testing.T) {
+	env := NewEnv()
+	var woke, stepAt Time = -1, -1
+	env.Go("blocking", func(p *Proc) {
+		p.Wait(5)
+		woke = env.Now()
+	})
+	env.GoStepsAt(1, "step", stepFunc(func(c *StepCtx) {
+		stepAt = c.Now()
+		c.End()
+	}))
+	end, err := env.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if woke != 5 || stepAt != 1 || end != 5 {
+		t.Errorf("wait returned at %v, step ran at %v, end %v; want 5, 1, 5", woke, stepAt, end)
+	}
+	// Two spawns and the scheduled wait: three events, none stale.
+	if env.Seq() != 3 {
+		t.Errorf("Seq = %d, want 3", env.Seq())
+	}
+	if env.Live() != 0 || env.Blocked() != 0 {
+		t.Errorf("Live/Blocked = %d/%d after Run, want 0/0", env.Live(), env.Blocked())
 	}
 }
