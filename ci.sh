@@ -60,13 +60,16 @@ if [ "$quick" = 0 ]; then
 
     # Tier 2: the zero-allocation guarantee the hotalloc analyzer enforces
     # statically, re-proved dynamically: the steady-state event, step- and
-    # coroutine-handoff, line and stream-flush paths must report 0 allocs/op
-    # under -benchmem.
+    # coroutine-handoff, line, stream-flush and tag-array probe paths must
+    # report 0 allocs/op under -benchmem.
     step "tier-2: zero-alloc gate (-benchmem, allocs/op must be 0)"
     go test -bench='BenchmarkEngineEventThroughput|BenchmarkStepHandoff|BenchmarkEngineCoroutineHandoff' -benchtime=5000x -benchmem -run '^$' ./internal/sim |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
     go test -bench='BenchmarkLoadLineHotPath|BenchmarkStoreLineHotPath|BenchmarkStreamFlush' -benchtime=5000x -benchmem -run '^$' ./internal/machine |
+        tee /dev/stderr |
+        awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
+    go test -bench='BenchmarkSetAssocProbe' -benchtime=5000x -benchmem -run '^$' ./internal/cache |
         tee /dev/stderr |
         awk '/allocs\/op/ && $(NF-1) != 0 { print "ci.sh: " $1 " allocates on the hot path (" $(NF-1) " allocs/op)" > "/dev/stderr"; bad = 1 } END { exit bad }'
 
@@ -100,6 +103,32 @@ if [ "$quick" = 0 ]; then
         exit 1
     fi
     rm -rf "$sortdir"
+
+    # Tier 2: the quick results/ artifacts. Table I, Figures 4-9 and the
+    # collective speedups are regenerated with the commands in
+    # results/README.md (a few seconds in all) and must match the committed
+    # files byte for byte. They cover the tag arrays and the machine pool on
+    # every cluster mode.
+    step "tier-2: results/ artifacts (table1, fig4-fig9, speedups vs results/)"
+    resdir=$(mktemp -d)
+    for cmd in knl-bench knl-sweep knl-coll; do
+        go build -o "$resdir/$cmd" ./cmd/$cmd
+    done
+    regen() { # regen FILE CMD ARGS...: regenerate results/FILE and compare
+        local file=$1
+        shift
+        "$resdir/$1" "${@:2}" > "$resdir/$file" 2> /dev/null
+        if ! cmp -s "$resdir/$file" "results/$file"; then
+            echo "ci.sh: $* diverged from results/$file" >&2
+            diff "$resdir/$file" "results/$file" >&2 || true
+            exit 1
+        fi
+    }
+    regen table1.txt knl-bench -table 1 -quick
+    for fig in 4 5 9; do regen "fig$fig.txt" knl-sweep -fig "$fig" -quick; done
+    for fig in 6 7 8; do regen "fig$fig.txt" knl-coll -fig "$fig" -quick; done
+    regen speedups.txt knl-coll -speedups -quick
+    rm -rf "$resdir"
 
     # Tier 2: memo determinism gate. Two identical -cache invocations into a
     # fresh cache directory must (a) print byte-identical results and (b) run

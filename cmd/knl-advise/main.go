@@ -14,11 +14,18 @@
 //
 // Array spec: name:bytes:pattern:threads[:touchesPerByte] with pattern one
 // of streaming | random | sort, and bytes accepting k/m/g suffixes.
+//
+// Exit codes: 0 ok, 1 the model file or the advisor failed, 2 usage error
+// (a malformed -array, or a -budget or array size that is not a positive
+// byte count that fits in 64 bits, is a usage error).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -36,18 +43,41 @@ func (a *arrayFlags) Set(v string) error {
 }
 
 func main() {
-	var specs arrayFlags
-	flag.Var(&specs, "array", "array spec name:bytes:pattern:threads[:touches]; repeatable")
-	budget := flag.String("budget", "16g", "MCDRAM budget (k/m/g suffixes)")
-	modelFile := flag.String("model", "", "capability model JSON (default: the paper's numbers)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	model := core.Default()
-	if *modelFile != "" {
-		var err error
-		if model, err = core.LoadFile(*modelFile); err != nil {
-			fatal(err)
-		}
+// fprintf writes output, deliberately dropping write errors: a run whose
+// own output pipe fails has nothing useful left to report.
+func fprintf(w io.Writer, format string, args ...any) {
+	_, _ = fmt.Fprintf(w, format, args...)
+}
+
+// usageError reports a bad flag value with the flag listing and returns
+// the usage exit code.
+func usageError(fs *flag.FlagSet, format string, args ...any) int {
+	fprintf(fs.Output(), "knl-advise: "+format+"\n", args...)
+	fs.Usage()
+	return 2
+}
+
+// run is the command body: it parses and validates args, writes the plan
+// to stdout and errors to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("knl-advise", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var specs arrayFlags
+	fs.Var(&specs, "array", "array spec name:bytes:pattern:threads[:touches]; repeatable")
+	budget := fs.String("budget", "16g", "MCDRAM budget (k/m/g suffixes)")
+	modelFile := fs.String("model", "", "capability model JSON (default: the paper's numbers)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usageError(fs, "unexpected argument %q", fs.Arg(0))
+	}
+	budgetBytes, err := parseBytes(*budget)
+	if err != nil {
+		return usageError(fs, "-budget: %v", err)
 	}
 	arrays := demoWorkload()
 	if len(specs) > 0 {
@@ -55,27 +85,29 @@ func main() {
 		for _, s := range specs {
 			a, err := parseArray(s)
 			if err != nil {
-				fatal(err)
+				return usageError(fs, "-array: %v", err)
 			}
 			arrays = append(arrays, a)
 		}
-	} else {
-		fmt.Println("(no -array given: using the built-in demo workload)")
 	}
-	budgetBytes, err := parseBytes(*budget)
-	if err != nil {
-		fatal(err)
+
+	model := core.Default()
+	if *modelFile != "" {
+		if model, err = core.LoadFile(*modelFile); err != nil {
+			fprintf(stderr, "knl-advise: %v\n", err)
+			return 1
+		}
+	}
+	if len(specs) == 0 {
+		fprintf(stdout, "(no -array given: using the built-in demo workload)\n")
 	}
 	plan, err := advisor.Advise(model, arrays, budgetBytes)
 	if err != nil {
-		fatal(err)
+		fprintf(stderr, "knl-advise: %v\n", err)
+		return 1
 	}
-	fmt.Print(plan)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "knl-advise:", err)
-	os.Exit(1)
+	fprintf(stdout, "%v", plan)
+	return 0
 }
 
 func demoWorkload() []advisor.Array {
@@ -108,12 +140,13 @@ func parseArray(s string) (advisor.Array, error) {
 		return advisor.Array{}, fmt.Errorf("unknown pattern %q", parts[2])
 	}
 	threads, err := strconv.Atoi(parts[3])
-	if err != nil {
+	if err != nil || threads < 1 {
 		return advisor.Array{}, fmt.Errorf("bad thread count in %q", s)
 	}
 	touches := 1.0
 	if len(parts) == 5 {
-		if touches, err = strconv.ParseFloat(parts[4], 64); err != nil {
+		touches, err = strconv.ParseFloat(parts[4], 64)
+		if err != nil || !(touches >= 0) || math.IsInf(touches, 1) {
 			return advisor.Array{}, fmt.Errorf("bad touches in %q", s)
 		}
 	}
@@ -121,6 +154,8 @@ func parseArray(s string) (advisor.Array, error) {
 		Threads: threads, TouchesPerByte: touches}, nil
 }
 
+// parseBytes parses a positive byte count with an optional k/m/g suffix.
+// Zero, negative and overflowing counts are errors.
 func parseBytes(s string) (int64, error) {
 	mult := int64(1)
 	low := strings.ToLower(strings.TrimSpace(s))
@@ -133,8 +168,13 @@ func parseBytes(s string) (int64, error) {
 		mult, low = 1<<10, strings.TrimSuffix(low, "k")
 	}
 	v, err := strconv.ParseInt(low, 10, 64)
-	if err != nil {
+	switch {
+	case errors.Is(err, strconv.ErrRange) || v > math.MaxInt64/mult:
+		return 0, fmt.Errorf("byte size %q overflows 64 bits", s)
+	case err != nil:
 		return 0, fmt.Errorf("bad byte size %q", s)
+	case v <= 0:
+		return 0, fmt.Errorf("byte size %q is not positive", s)
 	}
 	return v * mult, nil
 }

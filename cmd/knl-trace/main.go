@@ -8,11 +8,16 @@
 //	knl-trace -workload contention -threads 16
 //	knl-trace -workload pingpong
 //	knl-trace -workload mixed -csv trace.csv
+//
+// Exit codes: 0 ok, 1 the simulation or the CSV write failed, 2 usage
+// error (an unknown -workload or -cluster, or a -threads outside 1-256, is
+// a usage error).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"knlcap/internal/cache"
@@ -24,36 +29,69 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "mixed", "workload: mixed | contention | pingpong")
-	threads := flag.Int("threads", 16, "thread count (contention/mixed)")
-	csvPath := flag.String("csv", "", "write the raw operation trace to this CSV file")
-	clusterMode := flag.String("cluster", "SNC4", "cluster mode")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// fprintf writes output, deliberately dropping write errors: a run whose
+// own output pipe fails has nothing useful left to report.
+func fprintf(w io.Writer, format string, args ...any) {
+	_, _ = fmt.Fprintf(w, format, args...)
+}
+
+// usageError reports a bad flag value with the flag listing and returns
+// the usage exit code.
+func usageError(fs *flag.FlagSet, format string, args ...any) int {
+	fprintf(fs.Output(), "knl-trace: "+format+"\n", args...)
+	fs.Usage()
+	return 2
+}
+
+// workloads maps each -workload name to the function that spawns it.
+var workloads = map[string]func(m *machine.Machine, threads int){
+	"contention": contention,
+	"pingpong":   func(m *machine.Machine, _ int) { pingpong(m) },
+	"mixed":      mixed,
+}
+
+// run is the command body: it parses and validates args before building a
+// machine or spawning a process, writes the report to stdout and errors to
+// stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("knl-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "mixed", "workload: mixed | contention | pingpong")
+	threads := fs.Int("threads", 16, fmt.Sprintf("thread count (contention/mixed; 1-%d)", knl.NumHWThreads))
+	csvPath := fs.String("csv", "", "write the raw operation trace to this CSV file")
+	clusterMode := fs.String("cluster", "SNC4", "cluster mode")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usageError(fs, "unexpected argument %q", fs.Arg(0))
+	}
+	spawn, ok := workloads[*workload]
+	if !ok {
+		return usageError(fs, "unknown -workload %q (want mixed, contention or pingpong)", *workload)
+	}
+	if *threads < 1 || *threads > knl.NumHWThreads {
+		return usageError(fs, "-threads %d outside 1-%d (the hardware threads of the die)", *threads, knl.NumHWThreads)
+	}
 	cm, err := knl.ParseClusterMode(*clusterMode)
 	if err != nil {
-		fatal(err)
+		return usageError(fs, "%v", err)
 	}
+
 	cfg := knl.DefaultConfig().WithModes(cm, knl.Flat)
 	m := machine.New(cfg)
 	col := trace.NewCollector(0)
 	m.SetTracer(col)
-
-	switch *workload {
-	case "contention":
-		contention(m, *threads)
-	case "pingpong":
-		pingpong(m)
-	case "mixed":
-		mixed(m, *threads)
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *workload))
-	}
+	spawn(m, *threads)
 	if _, err := m.Run(); err != nil {
-		fatal(err)
+		fprintf(stderr, "knl-trace: %v\n", err)
+		return 1
 	}
 
-	fmt.Printf("workload %q on %s: %d traced operations over %.1f us\n\n",
+	fprintf(stdout, "workload %q on %s: %d traced operations over %.1f us\n\n",
 		*workload, cfg.Name(), col.Len(), m.Env.Now()/1e3)
 	t := &report.Table{
 		Title:   "Latency distribution by data source [ns]",
@@ -62,37 +100,39 @@ func main() {
 	for _, g := range col.Summaries(trace.BySource) {
 		t.AddRow(g.Key, g.Count, g.Summary.Q1, g.Summary.Med, g.Summary.Q3, g.Summary.Max)
 	}
-	t.Write(os.Stdout)
+	t.Write(stdout)
 
-	fmt.Println("\nbusiest structures:")
+	fprintf(stdout, "\nbusiest structures:\n")
 	for i, rs := range m.StatsReport() {
 		if i >= 6 {
 			break
 		}
-		fmt.Printf("  %-12s %6d acquires, max queue %2d, utilization %4.1f%%\n",
+		fprintf(stdout, "  %-12s %6d acquires, max queue %2d, utilization %4.1f%%\n",
 			rs.Name, rs.Acquires, rs.MaxQueue, 100*rs.Utilization)
 	}
-	fmt.Printf("mesh ring peak utilization: %.2f%%\n", 100*m.MeshUtilization())
+	fprintf(stdout, "mesh ring peak utilization: %.2f%%\n", 100*m.MeshUtilization())
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
+		if err := writeCSV(*csvPath, col); err != nil {
+			fprintf(stderr, "knl-trace: %v\n", err)
+			return 1
 		}
-		err = col.WriteCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("raw trace written to %s\n", *csvPath)
+		fprintf(stdout, "raw trace written to %s\n", *csvPath)
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "knl-trace:", err)
-	os.Exit(1)
+// writeCSV writes the collected operations to path.
+func writeCSV(path string, col *trace.Collector) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = col.WriteCSV(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // contention reproduces the 1:N Table I benchmark under the tracer.

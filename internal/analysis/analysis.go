@@ -40,11 +40,10 @@
 //     flagged, except in basic blocks that cannot reach the function's
 //     exit (panic guards). This is the static twin of the -benchmem
 //     allocs/op gate in ci.sh.
-//   - memokey: at every memo entry point (memo.Lookup, exp.RunMemo,
-//     exp.RunPooledMemo), every tracked struct field the memoized compute
-//     path transitively reads must be folded into the key the call site
-//     passes — otherwise a changed field silently serves a stale cached
-//     result. Output-invariant fields carry a justified
+//   - memokey: at every memo entry point (memo.Lookup, exp.RunMemo),
+//     every tracked struct field the memoized compute path transitively
+//     reads must be folded into the key the call site passes — otherwise
+//     a changed field silently serves a stale cached result. Output-invariant fields carry a justified
 //     `//knl:nokey <reason>` directive on their declaration.
 //   - purity: functions on the call-graph closure of the convergence/memo
 //     hook roots (the op-trace hooks and the memo encode path) may not
@@ -251,6 +250,8 @@ func DefaultConfig() *Config {
 			"knlcap/internal/sim.eventQueue",
 			"knlcap/internal/sim.Resource",
 			"knlcap/internal/memory.Channel",
+			"knlcap/internal/cache.SetAssoc",
+			"knlcap/internal/cache.DirectMapped",
 		},
 		StateCovDigestRoots: []string{
 			"(*knlcap/internal/machine.Machine).StateDigest",
@@ -267,7 +268,6 @@ func DefaultConfig() *Config {
 		MemoEntries: []MemoEntry{
 			{Func: "knlcap/internal/memo.Lookup", KeyArg: 1},
 			{Func: "knlcap/internal/exp.RunMemo", KeyArg: 2, ComputeArgs: []int{4}},
-			{Func: "knlcap/internal/exp.RunPooledMemo", KeyArg: 2, ComputeArgs: []int{4, 5}},
 		},
 		MemoKeyType:       "knlcap/internal/memo.Key",
 		MemoKeyWriterType: "knlcap/internal/memo.KeyWriter",

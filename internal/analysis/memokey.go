@@ -10,9 +10,8 @@ import (
 
 // MemoKey guards the key-completeness contract of the content-addressed
 // result cache: at every call site of a memo entry point (memo.Lookup,
-// exp.RunMemo, exp.RunPooledMemo), every tracked struct field the
-// memoized compute path transitively reads must also be folded into the
-// key the site passes. A fold that misses one output-affecting field
+// exp.RunMemo), every tracked struct field the memoized compute path
+// transitively reads must also be folded into the key the site passes. A fold that misses one output-affecting field
 // makes the cache serve stale results — silently, which for a model
 // validated by bit-reproducible agreement with measurement is the worst
 // failure mode there is.
@@ -253,7 +252,8 @@ func (mk *memoKeyPass) computeReads(pkg *Package, arg ast.Expr, out map[*types.V
 		mk.calleeReads(pkg, lit.Body, out)
 		return
 	}
-	// Named function value (mk: newWorkerPool): its transitive reads.
+	// Named function value (a point function passed by name): its
+	// transitive reads.
 	if id, ok := arg.(*ast.Ident); ok {
 		if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
 			if n := mk.pass.Graph.Lookup(fn); n != nil {

@@ -77,13 +77,6 @@ type Options struct {
 	// A nil cache means every sweep simulates.
 	//knl:nokey the cache handle selects where results live, never their values
 	Memo *memo.Cache
-
-	// pool, when set, recycles machines across the measurement points of a
-	// sweep. The sweep drivers install one per worker (exp.RunPooled), so a
-	// pool is never shared between concurrent points; by the Machine.Reset
-	// contract the results stay bit-identical to unpooled runs.
-	//knl:nokey pooled-vs-fresh digest identity is proven by the exp pool tests
-	pool *exp.MachinePool
 }
 
 // params returns the protocol constants the options measure under:
@@ -112,22 +105,17 @@ func (o Options) KeyFor(workload string, cfg knl.Config) *memo.KeyWriter {
 		Float(o.WindowNs).Uint(o.Seed).Int(o.StreamLines).Int(o.BuffersPerThread)
 }
 
-// acquire hands out the point's machine for cfg — recycled when a sweep
-// installed a pool, freshly built otherwise.
+// acquire hands out the point's machine for cfg from the process-wide
+// pool, reset to the state a fresh construction has.
 func (o Options) acquire(cfg knl.Config) *machine.Machine {
-	if o.pool == nil {
-		return machine.NewWithParams(cfg, o.params())
-	}
-	return o.pool.Get(cfg, o.params(), cfg.YieldSeed)
+	return exp.Machines.Get(cfg, o.params(), cfg.YieldSeed)
 }
 
 // release returns a machine taken from acquire once its point is done.
 // Only machines whose simulation ran to completion may be released — Reset
 // refuses non-quiescent machines.
 func (o Options) release(m *machine.Machine) {
-	if o.pool != nil {
-		o.pool.Put(m)
-	}
+	exp.Machines.Put(m)
 }
 
 // DefaultOptions returns measurement parameters sized for interactive runs.

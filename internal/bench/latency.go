@@ -115,15 +115,13 @@ func MeasureCacheLatencies(cfg knl.Config, o Options, remoteTargets int) CacheLa
 			pt{owner, cache.Forward})
 	}
 	key := o.KeyFor("table1-latency", cfg).Int(remoteTargets).Key()
-	meds, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key, len(pts),
-		newWorkerPool, func(pool *exp.MachinePool, i int) float64 {
-			po := o
-			po.pool = pool
-			m := po.acquire(cfg)
+	meds, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key, len(pts),
+		func(i int) float64 {
+			m := o.acquire(cfg)
 			b := m.Alloc.MustAlloc(knl.DDR, 0, int64(o.ChaseLen)*knl.LineSize)
 			prime := func() { m.Prime(b, pts[i].owner, pts[i].st) }
-			med := chase(m, 0, b, po, prime).Median
-			po.release(m)
+			med := chase(m, 0, b, o, prime).Median
+			o.release(m)
 			return med
 		})
 
@@ -163,13 +161,11 @@ func MeasurePerCoreLatencies(cfg knl.Config, o Options, states []cache.State) []
 	for _, st := range states {
 		kw = kw.Int(int(st))
 	}
-	pts, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, kw.Key(), len(states)*owners,
-		newWorkerPool, func(pool *exp.MachinePool, i int) PerCoreLatency {
-			po := o
-			po.pool = pool
+	pts, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, kw.Key(), len(states)*owners,
+		func(i int) PerCoreLatency {
 			st := states[i/owners]
 			owner := 1 + i%owners
-			m := po.acquire(cfg)
+			m := o.acquire(cfg)
 			b := m.Alloc.MustAlloc(knl.DDR, 0, int64(o.ChaseLen)*knl.LineSize)
 			var prime func()
 			if st == cache.Invalid {
@@ -177,8 +173,8 @@ func MeasurePerCoreLatencies(cfg knl.Config, o Options, states []cache.State) []
 			} else {
 				prime = func() { m.Prime(b, owner, st) }
 			}
-			s := chase(m, 0, b, po, prime)
-			po.release(m)
+			s := chase(m, 0, b, o, prime)
+			o.release(m)
 			return PerCoreLatency{Core: owner, State: st, Latency: s.Median}
 		})
 	return pts

@@ -299,14 +299,11 @@ func MaxMedianBandwidth(cfg knl.Config, o Options, k StreamKernel,
 	for _, sc := range scheds {
 		kw = kw.Int(int(sc))
 	}
-	pts, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, kw.Key(),
-		len(scheds)*len(threadCounts),
-		newWorkerPool, func(pool *exp.MachinePool, i int) MemBWPoint {
-			po := o
-			po.pool = pool
+	pts, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, kw.Key(),
+		len(scheds)*len(threadCounts), func(i int) MemBWPoint {
 			sc := scheds[i/len(threadCounts)]
 			n := threadCounts[i%len(threadCounts)]
-			return MeasureMemBandwidth(cfg, po, k, kind, nt, n, sc)
+			return MeasureMemBandwidth(cfg, o, k, kind, nt, n, sc)
 		})
 	var best MemBWPoint
 	for _, p := range pts {
@@ -325,16 +322,10 @@ func TriadSweep(cfg knl.Config, o Options, sched knl.Schedule, counts []int) []M
 	}
 	kinds := []knl.MemKind{knl.MCDRAM, knl.DDR}
 	key := o.KeyFor("fig9-triad", cfg).Int(int(sched)).Ints(counts).Key()
-	pts, _ := exp.RunPooledMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
-		len(kinds)*len(counts),
-		newWorkerPool, func(pool *exp.MachinePool, i int) MemBWPoint {
-			po := o
-			po.pool = pool
-			return MeasureMemBandwidth(cfg, po, KernelTriad, kinds[i/len(counts)], true,
+	pts, _ := exp.RunMemo(exp.Config{Parallel: o.Parallel}, o.Memo, key,
+		len(kinds)*len(counts), func(i int) MemBWPoint {
+			return MeasureMemBandwidth(cfg, o, KernelTriad, kinds[i/len(counts)], true,
 				counts[i%len(counts)], sched)
 		})
 	return pts
 }
-
-// newWorkerPool builds one MachinePool per sweep worker (exp.RunPooled).
-func newWorkerPool() *exp.MachinePool { return new(exp.MachinePool) }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"knlcap/internal/exp"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
 	"knlcap/internal/memmode"
@@ -138,7 +139,7 @@ type SkewCalibration struct {
 // calibration never sees them directly — only quantized TSC readings.
 func CalibrateTSC(cfg knl.Config, trueSkewNs []float64) SkewCalibration {
 	n := len(trueSkewNs)
-	m := machine.New(cfg)
+	m := exp.Machines.Get(cfg, machine.DefaultParams(), cfg.YieldSeed)
 	places := placesFor(knl.Scatter, n)
 	tsc := func(rank int, now float64) float64 {
 		raw := now + trueSkewNs[rank]
@@ -195,6 +196,7 @@ func CalibrateTSC(cfg knl.Config, trueSkewNs []float64) SkewCalibration {
 	if _, err := m.Run(); err != nil {
 		panic(err)
 	}
+	exp.Machines.Put(m)
 	out := SkewCalibration{EstimatedNs: est, ResidualNs: make([]float64, n)}
 	for i := range est {
 		out.ResidualNs[i] = est[i] - trueSkewNs[i] + trueSkewNs[0]

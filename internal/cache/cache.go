@@ -58,26 +58,36 @@ func (s State) CanForward() bool {
 	return s == Modified || s == Exclusive || s == Forward
 }
 
-// entry is one way of one set. An entry is live only while its epoch
-// matches the array's: Reset and Flush advance the array epoch instead of
-// clearing the slice, so emptying a tag array is O(1) no matter how large
-// it is (the L2 arrays dominate Machine.Reset otherwise — ~12 MB of
-// entries across the die per pooled reuse).
-type entry struct {
-	line  Line
-	state State
-	epoch uint32 // live iff equal to SetAssoc.epoch
-	lru   uint64 // last-touch tick
-}
-
 // SetAssoc is a set-associative tag array with LRU replacement.
+//
+// The ways are stored set-major in parallel columns, so a probe scans one
+// dense run of tags (128 B for a 16-way set) instead of a run of
+// tag/state/LRU records. A tag holds line+1; 0 marks an empty way.
+//
+// Each set carries an epoch, and a set whose epoch is not the array's
+// reads as empty: Reset and Flush advance the array epoch instead of
+// clearing the columns, so emptying a tag array is O(1) no matter how
+// large it is (the L2 arrays dominate Machine.Reset otherwise — ~10 MB of
+// tags across the die per pooled reuse). The next Insert into a stale set
+// clears it.
 type SetAssoc struct {
-	name    string
-	sets    int
-	ways    int
-	tick    uint64
-	epoch   uint32
-	entries []entry // sets*ways, row-major by set
+	//knl:nostate immutable display name
+	name string
+	//knl:nostate immutable geometry
+	sets int
+	//knl:nostate immutable geometry
+	ways int
+	//knl:nostate immutable geometry: sets-1
+	mask  uint64
+	tick  uint64
+	epoch uint32 // never 0, so zeroed set epochs read stale
+	//knl:nostate a stale set's tags read empty and are cleared by its next Insert
+	tags []Line // sets*ways: line+1, or 0 for an empty way
+	//knl:nostate read only for a non-empty way of a live set, rewritten when the way fills
+	states []State // MESIF state of each non-empty way
+	//knl:nostate read only for a non-empty way of a live set, rewritten when the way fills
+	lrus     []uint64 // last-touch tick of each non-empty way
+	setEpoch []uint32 // per set; live iff equal to epoch
 
 	hits, misses, evictions uint64
 }
@@ -94,10 +104,15 @@ func NewSetAssoc(name string, capacityBytes, ways int) *SetAssoc {
 		panic(fmt.Sprintf("cache: sets %d not a power of two", sets))
 	}
 	return &SetAssoc{
-		name:    name,
-		sets:    sets,
-		ways:    ways,
-		entries: make([]entry, sets*ways),
+		name:     name,
+		sets:     sets,
+		ways:     ways,
+		mask:     uint64(sets - 1),
+		epoch:    1,
+		tags:     make([]Line, sets*ways),
+		states:   make([]State, sets*ways),
+		lrus:     make([]uint64, sets*ways),
+		setEpoch: make([]uint32, sets),
 	}
 }
 
@@ -110,28 +125,30 @@ func (c *SetAssoc) Ways() int { return c.ways }
 // CapacityBytes returns the modeled capacity.
 func (c *SetAssoc) CapacityBytes() int { return c.sets * c.ways * 64 }
 
-func (c *SetAssoc) setOf(l Line) int { return int(uint64(l) & uint64(c.sets-1)) }
-
-// live reports whether the entry belongs to the current epoch and holds a
-// line. Every read path must use this rather than checking the state
-// alone, or lines from before a Reset would resurrect.
-func (c *SetAssoc) live(e *entry) bool {
-	return e.state != Invalid && e.epoch == c.epoch
+// find returns the index of the way holding l, or -1. Every read path
+// goes through it, so lines from before a Reset cannot resurrect.
+func (c *SetAssoc) find(l Line) int {
+	set := int(uint64(l) & c.mask)
+	if c.setEpoch[set] != c.epoch {
+		return -1 // stale: empty this epoch
+	}
+	base := set * c.ways
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == l+1 {
+			return base + w
+		}
+	}
+	return -1
 }
 
 // Lookup returns the state of the line (Invalid if absent) and updates LRU
 // and hit/miss counters on readable hits.
 func (c *SetAssoc) Lookup(l Line) State {
-	set := c.setOf(l)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if c.live(e) && e.line == l {
-			c.tick++
-			e.lru = c.tick
-			c.hits++
-			return e.state
-		}
+	if i := c.find(l); i >= 0 {
+		c.tick++
+		c.lrus[i] = c.tick
+		c.hits++
+		return c.states[i]
 	}
 	c.misses++
 	return Invalid
@@ -139,13 +156,8 @@ func (c *SetAssoc) Lookup(l Line) State {
 
 // Peek returns the state of the line without touching LRU or counters.
 func (c *SetAssoc) Peek(l Line) State {
-	set := c.setOf(l)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if c.live(e) && e.line == l {
-			return e.state
-		}
+	if i := c.find(l); i >= 0 {
+		return c.states[i]
 	}
 	return Invalid
 }
@@ -159,40 +171,48 @@ type Victim struct {
 // Insert places the line with the given state, evicting the LRU way if the
 // set is full. It returns the victim (State Invalid if none was displaced).
 // Inserting a line that is already present updates its state in place.
+// The victim is the first empty way, else the way with the smallest LRU
+// tick (the lowest such way on a tie).
 func (c *SetAssoc) Insert(l Line, s State) Victim {
 	if s == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	set := c.setOf(l)
+	set := int(uint64(l) & c.mask)
 	base := set * c.ways
-	var free, lru *entry
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if !c.live(e) {
-			if free == nil {
-				free = e
+	tags := c.tags[base : base+c.ways]
+	if c.setEpoch[set] != c.epoch {
+		clear(tags)
+		c.setEpoch[set] = c.epoch
+	}
+	free, lru := -1, -1
+	for w, t := range tags {
+		if t == 0 {
+			if free < 0 {
+				free = w
 			}
 			continue
 		}
-		if e.line == l {
-			e.state = s
+		if t == l+1 {
+			c.states[base+w] = s
 			c.tick++
-			e.lru = c.tick
+			c.lrus[base+w] = c.tick
 			return Victim{State: Invalid}
 		}
-		if lru == nil || e.lru < lru.lru {
-			lru = e
+		if lru < 0 || c.lrus[base+w] < c.lrus[base+lru] {
+			lru = w
 		}
 	}
 	target := free
 	out := Victim{State: Invalid}
-	if target == nil {
+	if target < 0 {
 		target = lru
-		out = Victim{Line: lru.line, State: lru.state}
+		out = Victim{Line: tags[lru] - 1, State: c.states[base+lru]}
 		c.evictions++
 	}
 	c.tick++
-	*target = entry{line: l, state: s, epoch: c.epoch, lru: c.tick}
+	tags[target] = l + 1
+	c.states[base+target] = s
+	c.lrus[base+target] = c.tick
 	return out
 }
 
@@ -200,38 +220,26 @@ func (c *SetAssoc) Insert(l Line, s State) Victim {
 // lines unless the new state is Invalid, in which case absence is fine.
 // Setting Invalid removes the line.
 func (c *SetAssoc) SetState(l Line, s State) {
-	set := c.setOf(l)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if c.live(e) && e.line == l {
-			if s == Invalid {
-				e.state = Invalid
-			} else {
-				e.state = s
-			}
-			return
+	if i := c.find(l); i >= 0 {
+		if s == Invalid {
+			c.tags[i] = 0
 		}
+		c.states[i] = s
 	}
 }
 
 // Invalidate removes the line and returns its previous state.
 func (c *SetAssoc) Invalidate(l Line) State {
-	set := c.setOf(l)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		e := &c.entries[base+w]
-		if c.live(e) && e.line == l {
-			s := e.state
-			e.state = Invalid
-			return s
-		}
+	i := c.find(l)
+	if i < 0 {
+		return Invalid
 	}
-	return Invalid
+	c.tags[i] = 0
+	return c.states[i]
 }
 
 // Flush removes every line (states are discarded) by advancing the epoch;
-// the stale entries are reclaimed lazily as Insert reuses their ways.
+// the stale sets are cleared lazily as Insert reuses them.
 func (c *SetAssoc) Flush() {
 	c.bumpEpoch()
 }
@@ -246,13 +254,15 @@ func (c *SetAssoc) Reset() {
 	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
-// bumpEpoch invalidates every entry in O(1). On the (practically
-// unreachable) uint32 wraparound the slice is cleared for real, so an
-// entry surviving 2^32 epochs can never appear live again.
+// bumpEpoch empties every set in O(1). On the (practically unreachable)
+// uint32 wraparound the set epochs are cleared for real and the count
+// restarts at 1, so a set untouched for 2^32 epochs can never read as
+// live again.
 func (c *SetAssoc) bumpEpoch() {
 	c.epoch++
 	if c.epoch == 0 {
-		clear(c.entries)
+		clear(c.setEpoch)
+		c.epoch = 1
 	}
 }
 
@@ -264,10 +274,21 @@ func (c *SetAssoc) Stats() (hits, misses, evictions uint64) {
 // Occupancy returns the number of valid lines currently cached.
 func (c *SetAssoc) Occupancy() int {
 	n := 0
-	for i := range c.entries {
-		if c.live(&c.entries[i]) {
-			n++
+	c.eachLive(func(int) { n++ })
+	return n
+}
+
+// eachLive calls fn with the index of every non-empty way of every live
+// set, in index order.
+func (c *SetAssoc) eachLive(fn func(i int)) {
+	for set, e := range c.setEpoch {
+		if e != c.epoch {
+			continue
+		}
+		for i := set * c.ways; i < (set+1)*c.ways; i++ {
+			if c.tags[i] != 0 {
+				fn(i)
+			}
 		}
 	}
-	return n
 }

@@ -35,16 +35,13 @@ func (c *SetAssoc) Digest() uint64 {
 	d.put(c.hits)
 	d.put(c.misses)
 	d.put(c.evictions)
-	for i := range c.entries {
-		e := &c.entries[i]
-		if !c.live(e) {
-			continue // invalidated and stale-epoch tags are not state
-		}
+	// Empty ways and stale sets are not state.
+	c.eachLive(func(i int) {
 		d.put(uint64(i))
-		d.put(uint64(e.line))
-		d.put(uint64(e.state))
-		d.put(e.lru)
-	}
+		d.put(uint64(c.tags[i] - 1))
+		d.put(uint64(c.states[i]))
+		d.put(c.lrus[i])
+	})
 	return d.sum()
 }
 

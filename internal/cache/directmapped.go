@@ -10,7 +10,9 @@ import "fmt"
 // SetAssoc: Reset advances the epoch instead of clearing the (potentially
 // hundreds of megabytes of) tag state of a modeled side cache.
 type DirectMapped struct {
-	name    string
+	//knl:nostate immutable display name
+	name string
+	//knl:nostate immutable geometry
 	sets    uint64
 	cur     uint32 // current epoch; starts at 1 so zeroed slices read absent
 	tags    []Line

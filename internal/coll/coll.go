@@ -12,6 +12,7 @@ import (
 
 	"knlcap/internal/bench"
 	"knlcap/internal/core"
+	"knlcap/internal/exp"
 	"knlcap/internal/knl"
 	"knlcap/internal/machine"
 	"knlcap/internal/memmode"
@@ -228,11 +229,12 @@ func envelopeFor(model *core.Model, op Op, numNodes, threads int) (lo, hi units.
 	}
 }
 
-// Measure runs one collective configuration on a fresh machine and returns
-// the measured distribution plus the model envelope.
+// Measure runs one collective configuration on a machine from the
+// process-wide pool (reset to the state machine.New builds) and returns the
+// measured distribution plus the model envelope.
 func Measure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 	alg Algorithm, p Params) Result {
-	m := machine.New(cfg)
+	m := exp.Machines.Get(cfg, machine.DefaultParams(), cfg.YieldSeed)
 	places := knl.Pin(p.Schedule, m.NumTiles(), p.Threads)
 	g := buildGroup(places)
 
@@ -286,6 +288,7 @@ func Measure(cfg knl.Config, model *core.Model, o bench.Options, op Op,
 		Summary:   stats.Summarize(maxes),
 		Validated: runner.validate(m, o.Iterations),
 	}
+	exp.Machines.Put(m)
 	if alg == Tuned {
 		res.ModelLo, res.ModelHi = envelopeFor(model, op, len(g.leaders), p.Threads)
 	}

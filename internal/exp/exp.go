@@ -2,13 +2,14 @@
 //
 // Every evaluation artifact of the paper — the table columns, the per-core
 // latency sweep, the thread-count and message-size scans — is a set of
-// independent simulation points: each point builds a fresh sim.Env and
-// machine.Machine from an explicit configuration and seed, runs to
-// completion, and reduces to a few numbers. Run fans those points out over
-// a bounded worker pool and collects the results in submission order, so a
-// sweep's output is a pure function of its inputs: bit-identical whether
-// it ran on one worker or sixteen, in whatever order the host scheduler
-// picked.
+// independent simulation points: each point takes a machine for an
+// explicit configuration and seed from the process-wide pool (Machines;
+// by the Machine.Reset contract it is indistinguishable from a fresh
+// one), runs to completion, and reduces to a few numbers. Run fans those
+// points out over a bounded worker pool and collects the results in
+// submission order, so a sweep's output is a pure function of its inputs:
+// bit-identical whether it ran on one worker or sixteen, in whatever order
+// the host scheduler picked.
 //
 // The contract a point function must honor is isolation: it must not touch
 // a sim.Env, machine.Machine, or any other mutable state shared with
@@ -67,27 +68,13 @@ func Run[T any](parallel, n int, point func(i int) T) []T {
 // whether every point completed (false only when cfg.Cancel fired, in
 // which case the results of unstarted points are zero values).
 func RunCfg[T any](cfg Config, n int, point func(i int) T) ([]T, bool) {
-	return RunPooled(cfg, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) T { return point(i) })
-}
-
-// RunPooled is RunCfg with per-worker state: mk builds one S for each
-// worker goroutine (and one for the serial path), and every point that
-// worker executes receives it. Because a worker runs its points strictly
-// sequentially, S may hold arbitrarily mutable scratch — a MachinePool,
-// reused buffers — without synchronization, and without breaking the
-// isolation contract between concurrent points. Results remain in index
-// order and bit-identical for any worker count provided the points
-// themselves don't leak state through S (a pool of Reset machines, by the
-// Machine.Reset contract, does not).
-func RunPooled[S, T any](cfg Config, n int, mk func() S, point func(s S, i int) T) ([]T, bool) {
 	if n <= 0 {
 		return nil, true
 	}
 	results := make([]T, n)
 	workers := cfg.Workers(n)
 	if workers == 1 {
-		return results, runSerial(cfg, n, mk(), point, results)
+		return results, runSerial(cfg, n, point, results)
 	}
 
 	var (
@@ -102,7 +89,6 @@ func RunPooled[S, T any](cfg Config, n int, mk func() S, point func(s S, i int) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := mk()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || canceled.Load() {
@@ -112,7 +98,7 @@ func RunPooled[S, T any](cfg Config, n int, mk func() S, point func(s S, i int) 
 					canceled.Store(true)
 					return
 				}
-				panics[i] = runPoint(point, s, i, results)
+				panics[i] = runPoint(point, i, results)
 				if cfg.Progress != nil {
 					mu.Lock()
 					done++
@@ -132,12 +118,12 @@ func RunPooled[S, T any](cfg Config, n int, mk func() S, point func(s S, i int) 
 }
 
 // runSerial is the worker==1 path: a plain loop on the calling goroutine.
-func runSerial[S, T any](cfg Config, n int, s S, point func(s S, i int) T, results []T) bool {
+func runSerial[T any](cfg Config, n int, point func(i int) T, results []T) bool {
 	for i := 0; i < n; i++ {
 		if cfg.Cancel != nil && cfg.Cancel() {
 			return false
 		}
-		results[i] = point(s, i)
+		results[i] = point(i)
 		if cfg.Progress != nil {
 			cfg.Progress(i+1, n)
 		}
@@ -155,13 +141,13 @@ type pointPanic struct {
 // point cannot tear down a worker silently; the caller re-raises the
 // lowest-index panic after the pool drains, which keeps the surfaced
 // failure deterministic even when several points panic.
-func runPoint[S, T any](point func(s S, i int) T, s S, i int, results []T) (pp *pointPanic) {
+func runPoint[T any](point func(i int) T, i int, results []T) (pp *pointPanic) {
 	defer func() {
 		if r := recover(); r != nil {
 			pp = &pointPanic{value: r}
 		}
 	}()
-	results[i] = point(s, i)
+	results[i] = point(i)
 	return nil
 }
 

@@ -23,16 +23,3 @@ func RunMemo[T any](cfg Config, c *memo.Cache, key memo.Key, n int, point func(i
 	}
 	return vals, done
 }
-
-// RunPooledMemo is RunPooled behind the same cache discipline as RunMemo.
-func RunPooledMemo[S, T any](cfg Config, c *memo.Cache, key memo.Key, n int,
-	mk func() S, point func(s S, i int) T) ([]T, bool) {
-	if vals, ok := memo.Lookup[[]T](c, key); ok {
-		return vals, true
-	}
-	vals, done := RunPooled(cfg, n, mk, point)
-	if done {
-		memo.Store(c, key, vals)
-	}
-	return vals, done
-}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"knlcap/internal/knl"
@@ -46,7 +47,7 @@ func poolWorkload(m *machine.Machine, seed uint64) (uint64, error) {
 func TestMachinePoolRecyclesAndResets(t *testing.T) {
 	cfg := knl.DefaultConfig()
 	p := machine.DefaultParams()
-	var pool MachinePool
+	pool := NewMachinePool(2)
 
 	m1 := pool.Get(cfg, p, 1)
 	d1, err := poolWorkload(m1, 7)
@@ -75,12 +76,12 @@ func TestMachinePoolRecyclesAndResets(t *testing.T) {
 	}
 }
 
-// TestMachinePoolConcurrentSweep runs a sweep over per-worker pools — the
-// RunPooled idiom the bench package uses — and asserts every point's digest
+// TestMachinePoolConcurrentSweep runs a sweep whose points share one small
+// pool, as every sweep shares Machines, and asserts every point's digest
 // equals a fresh, serially built machine's. Under -race this also proves
-// that per-worker pooling introduces no sharing between concurrent points;
+// that a shared pool introduces no sharing between concurrent points;
 // mixing two configurations exercises both the recycle-hit and the
-// build-fresh path of Get.
+// build-fresh path of Get, and the eviction path of Put.
 func TestMachinePoolConcurrentSweep(t *testing.T) {
 	cfgs := []knl.Config{
 		knl.DefaultConfig(),
@@ -105,15 +106,16 @@ func TestMachinePoolConcurrentSweep(t *testing.T) {
 		digest uint64
 		err    error
 	}
-	got, done := RunPooled(Config{Parallel: 4}, n,
-		func() *MachinePool { return new(MachinePool) },
-		func(pool *MachinePool, i int) res {
-			seed := PointSeed(base, i)
-			m := pool.Get(cfgs[i%len(cfgs)], p, seed)
-			d, err := poolWorkload(m, seed)
+	pool := NewMachinePool(3)
+	got, done := RunCfg(Config{Parallel: 4}, n, func(i int) res {
+		seed := PointSeed(base, i)
+		m := pool.Get(cfgs[i%len(cfgs)], p, seed)
+		d, err := poolWorkload(m, seed)
+		if err == nil {
 			pool.Put(m)
-			return res{digest: d, err: err}
-		})
+		}
+		return res{digest: d, err: err}
+	})
 	if !done {
 		t.Fatal("sweep reported cancellation with no Cancel configured")
 	}
@@ -127,4 +129,95 @@ func TestMachinePoolConcurrentSweep(t *testing.T) {
 				i, cfgs[i%len(cfgs)].Name(), r.digest, expected[i])
 		}
 	}
+	if idle := pool.idleCount(); idle > 3 {
+		t.Errorf("pool holds %d idle machines, bound 3", idle)
+	}
+}
+
+// TestMachinePoolPanickingPointKeepsMachine: a point that panics mid-run
+// (runPoint recovers it, Run re-raises it) never returns its machine, so
+// the half-run machine — which Reset would refuse — never reaches another
+// point, while the points that completed do return theirs.
+func TestMachinePoolPanickingPointKeepsMachine(t *testing.T) {
+	cfg := knl.DefaultConfig()
+	p := machine.DefaultParams()
+	pool := NewMachinePool(4)
+	const n, bad = 4, 2
+	machines := make([]*machine.Machine, n)
+	func() {
+		defer func() {
+			if r := recover(); r != "point 2 failed" {
+				t.Fatalf("recovered %v, want the point's panic", r)
+			}
+		}()
+		Run(2, n, func(i int) int {
+			m := pool.Get(cfg, p, PointSeed(1, i))
+			machines[i] = m
+			if i == bad {
+				// Leave the machine mid-run: a process spawned, never run.
+				m.SpawnKernel(knl.Place{}, func(float64, uint64) (machine.KernelOp, bool) {
+					return machine.KernelOp{}, false
+				})
+				panic("point 2 failed")
+			}
+			if _, err := poolWorkload(m, uint64(i)); err != nil {
+				panic(err)
+			}
+			pool.Put(m)
+			return i
+		})
+	}()
+	if pool.idleCount() == 0 {
+		t.Fatal("no completed point returned its machine")
+	}
+	if slices.Contains(pool.idle, machines[bad]) {
+		t.Fatal("the panicking point's machine was returned to the pool")
+	}
+	// Every idle machine still resets cleanly.
+	for pool.idleCount() > 0 {
+		if _, err := poolWorkload(pool.Get(cfg, p, 9), 9); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMachinePoolBound: concurrent Puts never leave more idle machines
+// than the bound, and Put drops the oldest idle machine first.
+func TestMachinePoolBound(t *testing.T) {
+	cfg := knl.DefaultConfig()
+	p := machine.DefaultParams()
+	const max = 2
+	pool := NewMachinePool(max)
+	ms := make([]*machine.Machine, 5)
+	for i := range ms {
+		ms[i] = machine.NewSeededWithParams(cfg, p, 1)
+	}
+	Run(len(ms), len(ms), func(i int) int {
+		pool.Put(ms[i])
+		if idle := pool.idleCount(); idle > max {
+			panic(fmt.Sprintf("%d idle machines, bound %d", idle, max))
+		}
+		return i
+	})
+	if idle := pool.idleCount(); idle != max {
+		t.Fatalf("%d idle machines after %d Puts, want the bound %d", idle, len(ms), max)
+	}
+	// Serially, the newest machines survive.
+	for _, m := range ms {
+		pool.Put(m)
+	}
+	a, b := pool.Get(cfg, p, 1), pool.Get(cfg, p, 1)
+	if a != ms[4] || b != ms[3] {
+		t.Fatal("Put did not evict the oldest idle machines first")
+	}
+	if pool.idleCount() != 0 {
+		t.Fatalf("%d idle machines after draining the pool", pool.idleCount())
+	}
+}
+
+// idleCount returns the number of idle machines.
+func (mp *MachinePool) idleCount() int {
+	mp.mu.Lock()
+	defer mp.mu.Unlock()
+	return len(mp.idle)
 }

@@ -49,12 +49,17 @@ func DefaultSimParams(totalLines, threads int, kind knl.MemKind) SimParams {
 // step kernel (Machine.SpawnKernel) whose program emits the rank's op
 // sequence one op at a time: the local merge levels over its chunk, then
 // its part of the merge tree, synchronized through per-stage flag words.
+// The machine comes from the process-wide pool, reset to the state
+// machine.New builds.
 func Simulate(cfg knl.Config, p SimParams) units.Nanos {
-	return simulate(machine.New(cfg), p)
+	m := exp.Machines.Get(cfg, machine.DefaultParams(), cfg.YieldSeed)
+	t := simulate(m, p)
+	exp.Machines.Put(m)
+	return t
 }
 
-// simulate runs the sort on a fresh machine m. It is the seam that lets
-// tests inspect the machine after the run.
+// simulate runs the sort on a fresh or freshly reset machine m. It is the
+// seam that lets tests inspect the machine after the run.
 func simulate(m *machine.Machine, p SimParams) units.Nanos {
 	threads := effectiveThreads(p.TotalLines*16, p.Threads)
 	places := knl.Pin(p.Schedule, m.NumTiles(), threads)
